@@ -23,12 +23,10 @@ from .betti import (
     compute_betti,
     herzog_kuhl_residuals,
 )
-from .exactlin import Fp, Matrix, kernel_basis, rank, row_space_rank_of_stack
 from .forms import (
     FormCollection,
     LinearForm,
     ReductionData,
-    coefficient_matrix,
     contract,
     delete,
     essentialize,

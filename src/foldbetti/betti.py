@@ -149,7 +149,7 @@ def betti_height1_reduce(sigma: FormCollection, a: int):
     raw = []
     for (form, mult), e_i in zip(ess.groups, rd.e_list):
         raw.append((form.coeffs, mult - e_i))
-    return normalize(raw, ess.k), rd.e
+    return normalize(raw, ess.k, ess.p), rd.e
 
 
 def betti_nminus1(sigma: FormCollection) -> BettiTable:

@@ -4,6 +4,10 @@ Instances are JSON files ({"field": "rational", "k": 3, "forms": [{"coeffs":
 ["1","0","-1/2"], "mult": 2}, ...]}); rationals travel as strings so no
 float ever touches a coefficient.  Reports come out as aligned text or as
 key-sorted JSON that is byte-identical across runs.
+
+Exit codes: 0 when everything ran (and agreed, for ``verify``); 1 for bad
+input, a refused computation or a disagreement; 2 for a bad command line;
+3 when the computation nests deeper than the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .betti import (
     compute_betti,
     herzog_kuhl_residuals,
 )
-from .exactlin import Fp
 from .forms import essentialize, normalize
 from .matroid import (
     hamming_weights,
@@ -124,7 +127,7 @@ def parse_instance(text) -> InstanceFile:
             if p is not None:
                 if q.denominator % p == 0:
                     raise InstanceError("%s.coeffs[%d]: denominator of %s vanishes in GF(%d)" % (path, j, q, p))
-                vals.append(Fp(q.numerator * pow(q.denominator, -1, p), p))
+                vals.append(q.numerator * pow(q.denominator, -1, p) % p)
             else:
                 vals.append(q)
         if any(v != 0 for v in vals):
@@ -136,7 +139,7 @@ def parse_instance(text) -> InstanceFile:
 
 
 def to_collection(instance: InstanceFile):
-    return normalize(instance.forms, instance.k)
+    return normalize(instance.forms, instance.k, instance.p)
 
 
 @dataclass
@@ -188,7 +191,8 @@ def run(
     }
     if instance.p is not None:
         data["warnings"] = [
-            "prime-field run: the closed forms are only verified over the rationals"
+            "prime-field run: results are those of the matroid mod p, which"
+            " differs from the rational one where reduction merges forms or drops a rank"
         ]
     ok = True
 
@@ -398,6 +402,13 @@ def main(argv=None) -> int:
     except (InstanceError, CommandError, ValueError, OracleLimitError) as exc:
         print("foldbetti: %s" % exc, file=sys.stderr)
         return 1
+    except RecursionError:
+        print(
+            "foldbetti: the computation nests deeper than the interpreter's"
+            " recursion limit (%d frames)" % sys.getrecursionlimit(),
+            file=sys.stderr,
+        )
+        return 3
     sys.stdout.write(report.to_json() if args.as_json else report.to_text())
     return 0 if report.ok else 1
 

@@ -1,189 +1,39 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact integer elimination over the rationals and prime fields.
 
-Scalars are ``fractions.Fraction`` by default; :class:`Fp` gives arithmetic
-in GF(p) as an alternate instantiation.  Rank computations on rational
-matrices clear denominators row by row and then run fraction-free
-(Bareiss) elimination over the integers, which keeps intermediate entries
-bounded; `gauss_rank` is the naive division-based eliminator kept as an
-independent cross-check and as the path for prime-field scalars.
+Every matrix here holds Python ints.  With ``p=None`` the ints stand for
+rationals and elimination is fraction-free: a row is updated by
+cross-multiplication, ``pivot * row - entry * pivot_row``, so no fraction
+is ever formed.  With a prime ``p`` the ints are residues and the same
+update is reduced mod p, where multiplying a row by a nonzero pivot is
+invertible.  Callers bring rational input to integers once, when forms are
+normalized (see ``forms``).
 
-Everything here is a pure function of immutable inputs, so values can be
-shared freely between concurrent callers.
+Three engines, all pivoting on the first nonzero entry in column order so
+that every trace is deterministic:
+
+- :func:`bareiss_rank` for the many small one-shot ranks of the matroid
+  layer;
+- :class:`IntEchelon` for wide dense rows added one at a time (the Hilbert
+  oracle, which stops at full column rank, and circuit dependencies);
+- :class:`SparseIntEchelon` for sparse rows (the circuit-relation space).
+
+Everything here is a pure function of its inputs or owned by the caller, so
+values can be shared freely between concurrent callers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
-class Fp:
-    """An element of the prime field GF(p).
+def bareiss_rank(rows, p=None) -> int:
+    """Rank of an integer matrix (mod ``p`` when given); empty has rank 0.
 
-    Mixed arithmetic with ints is supported so generic elimination code can
-    use the literals 0 and 1 for either scalar type.
+    Over the integers this is Bareiss elimination: the uniform update keeps
+    every entry an exact minor, so the division by the previous pivot never
+    truncates.  Over GF(p) the update is reduced mod p instead.
     """
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, value, p):
-        self.p = p
-        self.v = value % p
-
-    def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields: %d vs %d" % (self.p, other.p))
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        w = self._coerce(other)
-        return NotImplemented if w is None else Fp(self.v + w, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._coerce(other)
-        return NotImplemented if w is None else Fp(self.v - w, self.p)
-
-    def __rsub__(self, other):
-        w = self._coerce(other)
-        return NotImplemented if w is None else Fp(w - self.v, self.p)
-
-    def __mul__(self, other):
-        w = self._coerce(other)
-        return NotImplemented if w is None else Fp(self.v * w, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        if w == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return Fp(self.v * pow(w, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        if self.v == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return Fp(w * pow(self.v, -1, self.p), self.p)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __eq__(self, other):
-        w = self._coerce(other)
-        return NotImplemented if w is None else self.v == w
-
-    def __lt__(self, other):
-        # value order; only used to sort canonical forms deterministically
-        w = self._coerce(other)
-        return NotImplemented if w is None else self.v < w
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return "Fp(%d, %d)" % (self.v, self.p)
-
-    def __str__(self):
-        return str(self.v)
-
-
-class Matrix:
-    """Immutable dense matrix with exact scalar entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(tuple(r) for r in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entries grid is not %d x %d" % (rows, cols))
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [tuple(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
-
-    @classmethod
-    def from_columns(cls, cols):
-        cols = [tuple(c) for c in cols]
-        nrows = len(cols[0]) if cols else 0
-        return cls(nrows, len(cols), list(zip(*cols)) if cols else [])
-
-    def transpose(self):
-        return Matrix(self.cols, self.rows, list(zip(*self.entries)) if self.entries else [])
-
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return "Matrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
-
-
-def _is_rational(x):
-    return isinstance(x, (int, Fraction))
-
-
-def _row_to_ints(row):
-    """Scale one rational row to coprime integers (kernel/rank-safe)."""
-    lcm = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-    ints = [int(x * lcm) if isinstance(x, Fraction) else x * lcm for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def primitive_int_vector(vec):
-    """Rational vector scaled to coprime ints with first nonzero positive."""
-    ints = _row_to_ints(vec)
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
-
-
-def bareiss_rank(int_rows):
-    """Rank of an integer matrix by fraction-free elimination.
-
-    First-nonzero pivoting in column order, so the elimination trace is
-    deterministic.  The interior division is exact (Sylvester identity).
-    """
-    rows = [list(r) for r in int_rows]
+    rows = [list(r) if p is None else [x % p for x in r] for r in rows]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     prev = 1
@@ -203,10 +53,12 @@ def bareiss_rank(int_rows):
         for i in range(r + 1, nr):
             rowi = rows[i]
             ric = rowi[c]
-            # uniform update keeps every entry an exact minor, so the
-            # division by the previous pivot never truncates
-            for j in range(c + 1, nc):
-                rowi[j] = (pc * rowi[j] - ric * rowr[j]) // prev
+            if p is None:
+                for j in range(c + 1, nc):
+                    rowi[j] = (pc * rowi[j] - ric * rowr[j]) // prev
+            else:
+                for j in range(c + 1, nc):
+                    rowi[j] = (pc * rowi[j] - ric * rowr[j]) % p
             rowi[c] = 0
         prev = pc
         r += 1
@@ -215,145 +67,28 @@ def bareiss_rank(int_rows):
     return r
 
 
-def gauss_rank(rows):
-    """Rank by naive division-based elimination over any exact field."""
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(nc):
-        pivot = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            if rows[i][c] != 0:
-                f = rows[i][c] / piv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
-def rank(m: Matrix) -> int:
-    """Row rank (= column rank) of a matrix; empty matrices have rank 0."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if all(_is_rational(x) for row in m.entries for x in row):
-        return bareiss_rank([_row_to_ints(row) for row in m.entries])
-    return gauss_rank(m.entries)
-
-
-def rref(rows):
-    """Reduced row echelon form over an exact field.
-
-    Returns (reduced nonzero rows, pivot column list).  Pivots are the first
-    nonzero entry in column order, so the output is deterministic.
-    """
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pivot = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows[: len(pivots)], pivots
-
-
-def kernel_basis(m: Matrix):
-    """Deterministic basis of the right null space of ``m``.
-
-    One basis vector per free column, scaled so its first nonzero entry
-    is 1.  For a circuit submatrix (rank = cols - 1) this is the unique
-    dependency, normalized at the smallest index.
-    """
-    if m.cols == 0:
-        return []
-    reduced, pivots = rref(m.entries)
-    one = Fraction(1)
-    for row in m.entries:
-        for x in row:
-            if x != 0:
-                one = x / x
-                break
-        else:
-            continue
-        break
-    zero = one * 0
-    free_cols = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        v = [zero] * m.cols
-        v[f] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][f]
-        for x in v:
-            if x != 0:
-                v = [y / x for y in v]
-                break
-        basis.append(tuple(v))
-    return basis
-
-
-def row_space_rank_of_stack(vectors) -> int:
-    """Rank of the matrix whose rows are the given equal-length vectors."""
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return 0
-    width = len(vectors[0])
-    for i, v in enumerate(vectors):
-        if len(v) != width:
-            raise ValueError("vector %d has length %d, expected %d" % (i, len(v), width))
-    return rank(Matrix.from_rows(vectors))
-
-
-def _reduce_int_row(row):
+def _primitive(values):
+    """Divisor that makes integer ``values`` coprime (1 if already so)."""
     g = 0
-    for v in row:
+    for v in values:
         g = gcd(g, v)
         if g == 1:
-            return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
+            break
+    return g
 
 
 class IntEchelon:
-    """Incremental integer row echelon, tracking rank only.
+    """Incremental dense row echelon, over the integers or mod ``p``.
 
-    Rows are reduced against stored pivots by cross-multiplication and kept
-    primitive, so entries stay small.  Used for the wide Hilbert-function
-    matrices where early exit at full column rank matters.
+    ``pivot_rows`` maps each leading column to its stored row.  Rows are
+    reduced against the stored pivots by cross-multiplication; over the
+    integers they are kept primitive so entries stay small.
     """
 
-    def __init__(self, width):
+    def __init__(self, width, p=None):
         self.width = width
-        self.pivot_rows = {}  # leading column -> primitive row
+        self.p = p
+        self.pivot_rows = {}  # leading column -> row
 
     @property
     def rank(self):
@@ -361,8 +96,8 @@ class IntEchelon:
 
     def add(self, row) -> bool:
         """Reduce ``row`` against the basis; returns True if rank grew."""
-        row = list(row)
-        width = self.width
+        width, p = self.width, self.p
+        row = list(row) if p is None else [x % p for x in row]
         c = 0
         while c < width:
             v = row[c]
@@ -371,12 +106,22 @@ class IntEchelon:
                 continue
             piv = self.pivot_rows.get(c)
             if piv is None:
-                self.pivot_rows[c] = _reduce_int_row(row)
+                if p is None:
+                    g = _primitive(row)
+                    if g > 1:
+                        row = [x // g for x in row]
+                self.pivot_rows[c] = row
                 return True
             pv = piv[c]
-            for j in range(c, width):
-                row[j] = pv * row[j] - v * piv[j]
-            row = _reduce_int_row(row)
+            if p is None:
+                for j in range(c, width):
+                    row[j] = pv * row[j] - v * piv[j]
+                g = _primitive(row)
+                if g > 1:
+                    row = [x // g for x in row]
+            else:
+                for j in range(c, width):
+                    row[j] = (pv * row[j] - v * piv[j]) % p
             c += 1
         return False
 
@@ -384,72 +129,41 @@ class IntEchelon:
         return len(self.pivot_rows) == self.width
 
 
-def sparse_gauss_rank(vectors) -> int:
-    """Rank of sparse rows (dict col -> scalar) by division-based elimination.
-
-    Works over any exact field; the integer cross-multiplying variant below
-    is the fast path for rational data.
-    """
-    pivots = {}
-    rank = 0
-    for row in vectors:
-        row = {c: v for c, v in row.items() if v != 0}
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = row
-                rank += 1
-                break
-            f = row.pop(c) / piv[c]
-            for j, w in piv.items():
-                if j == c:
-                    continue
-                nv = row.get(j, 0) - f * w
-                if nv != 0:
-                    row[j] = nv
-                elif j in row:
-                    del row[j]
-    return rank
-
-
 class SparseIntEchelon:
-    """Incremental echelon over sparse integer rows (dict col -> value)."""
+    """Incremental echelon over sparse rows (dict col -> int), or mod ``p``."""
 
-    def __init__(self):
+    def __init__(self, p=None):
+        self.p = p
         self.pivot_rows = {}  # leading column -> dict row
 
     @property
     def rank(self):
         return len(self.pivot_rows)
 
+    def _nonzero(self, entries):
+        if self.p is None:
+            return {j: v for j, v in entries if v}
+        p = self.p
+        return {j: v % p for j, v in entries if v % p}
+
     def add(self, row) -> bool:
-        row = {c: v for c, v in row.items() if v}
+        """Reduce ``row`` against the basis; returns True if rank grew."""
+        row = self._nonzero(row.items())
         while row:
             c = min(row)
             piv = self.pivot_rows.get(c)
             if piv is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    row = {j: v // g for j, v in row.items()}
+                if self.p is None:
+                    g = _primitive(row.values())
+                    if g > 1:
+                        row = {j: v // g for j, v in row.items()}
                 self.pivot_rows[c] = row
                 return True
             v = row.pop(c)
             pv = piv[c]
-            new = {}
-            for j, w in row.items():
-                new[j] = pv * w
+            new = {j: pv * w for j, w in row.items()}
             for j, w in piv.items():
-                if j == c:
-                    continue
-                nv = new.get(j, 0) - v * w
-                if nv:
-                    new[j] = nv
-                elif j in new:
-                    del new[j]
-            row = new
+                if j != c:
+                    new[j] = new.get(j, 0) - v * w
+            row = self._nonzero(new.items())
         return False

@@ -1,9 +1,17 @@
 """Collections of linear forms with multiplicities.
 
-A collection keeps pairwise non-proportional forms in a canonical scale
-(first nonzero coefficient 1), each with a positive multiplicity, sorted by
-multiplicity descending then coefficients.  Equal inputs therefore always
-build the identical object, which is what the memoized recursions key on.
+A form is a tuple of Python ints, and the field is carried once, on the
+collection: ``FormCollection.p`` is None for the rationals or a prime p
+for GF(p).  Each form is stored in a canonical scale.  Over the rationals
+it is a primitive integer vector whose first nonzero entry is positive;
+over GF(p) it holds residues in [0, p) and its first nonzero entry is 1.
+:func:`normalize` is the one place where input (ints or ``Fraction``s) is
+brought to that scale; everything downstream is integer arithmetic.
+
+A collection keeps pairwise non-proportional forms, each with a positive
+multiplicity, sorted by multiplicity descending then coefficients.  Equal
+inputs therefore always build the identical object, which is what the
+memoized recursions key on.
 
 Deletion removes one copy of a form.  Contraction reduces every other form
 modulo a chosen form and drops one ambient variable; copies that collapse
@@ -15,60 +23,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .exactlin import Fp, Matrix, primitive_int_vector, rref
+from .exactlin import IntEchelon
 
 
-def _coerce_coeffs(coeffs):
-    """Promote plain ints to the field the other entries live in."""
-    coeffs = tuple(coeffs)
-    p = None
-    for x in coeffs:
-        if isinstance(x, Fp):
-            p = x.p
-            break
+def canonical_coeffs(coeffs, p=None):
+    """The canonical scale of one form over Q or GF(p); None for zero.
+
+    Entries may be ints or ``Fraction``s.  Over Q denominators are cleared
+    and the gcd divided out; over GF(p) every entry becomes a residue.
+    """
     if p is None:
-        return tuple(Fraction(x) if isinstance(x, int) else x for x in coeffs)
-    out = []
-    for x in coeffs:
-        if isinstance(x, Fp):
-            out.append(x)
-        elif isinstance(x, int):
-            out.append(Fp(x, p))
-        else:
-            raise TypeError("cannot mix %r into a GF(%d) form" % (x, p))
-    return tuple(out)
-
-
-def _canonical_coeffs(coeffs):
-    """Scale so the first nonzero coefficient is 1; None for the zero form."""
-    coeffs = _coerce_coeffs(coeffs)
-    for x in coeffs:
-        if x != 0:
-            return tuple(y / x for y in coeffs)
-    return None
+        if not all(isinstance(x, int) for x in coeffs):
+            den = lcm(*(Fraction(x).denominator for x in coeffs))
+            coeffs = [int(x * den) for x in coeffs]
+        g = gcd(*coeffs)
+        if g == 0:
+            return None
+        if next(x for x in coeffs if x) < 0:
+            g = -g
+        return tuple(x // g for x in coeffs)
+    ints = [
+        x % p if isinstance(x, int) else x.numerator * pow(x.denominator, -1, p) % p
+        for x in coeffs
+    ]
+    lead = next((x for x in ints if x), 0)
+    if lead == 0:
+        return None
+    inv = pow(lead, -1, p)
+    return tuple(x * inv % p for x in ints)
 
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A nonzero linear form in canonical scale."""
+    """A nonzero linear form: a primitive int vector, first nonzero positive.
+
+    A GF(p) form in its canonical scale (first nonzero entry 1) is of this
+    shape too; the collection checks the residue range.
+    """
 
     coeffs: tuple
 
     def __post_init__(self):
-        lead = None
-        for x in self.coeffs:
-            if x != 0:
-                lead = x
-                break
-        if lead is None:
+        canon = canonical_coeffs(self.coeffs)
+        if canon is None:
             raise ValueError("zero form cannot live in a collection")
-        if lead != 1:
+        if canon != self.coeffs:
             raise ValueError("form is not canonically scaled: %r" % (self.coeffs,))
 
     @classmethod
-    def make(cls, coeffs):
-        canon = _canonical_coeffs(coeffs)
+    def make(cls, coeffs, p=None):
+        canon = canonical_coeffs(coeffs, p)
         if canon is None:
             raise ValueError("zero form cannot live in a collection")
         return cls(canon)
@@ -80,10 +86,14 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class FormCollection:
-    """The multiset of linear forms: groups of (form, multiplicity)."""
+    """The multiset of linear forms: groups of (form, multiplicity).
+
+    ``p`` is the field: None for the rationals, otherwise a prime.
+    """
 
     k: int
     groups: tuple
+    p: int | None = None
 
     def __post_init__(self):
         if not self.groups:
@@ -93,6 +103,8 @@ class FormCollection:
                 raise ValueError("form %r has %d coefficients, ambient is %d" % (form.coeffs, form.k, self.k))
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
+            if self.p is not None and canonical_coeffs(form.coeffs, self.p) != form.coeffs:
+                raise ValueError("form %r is not a canonical GF(%d) form" % (form.coeffs, self.p))
         keys = [_sort_key(form, mult) for form, mult in self.groups]
         if keys != sorted(keys):
             raise ValueError("groups are not in canonical order")
@@ -131,10 +143,10 @@ def _sort_key(form, mult):
     return (-mult, form.coeffs)
 
 
-def normalize(raw_forms, k: int) -> FormCollection:
-    """Canonicalize raw (coeff-vector, multiplicity) pairs.
+def normalize(raw_forms, k: int, p=None) -> FormCollection:
+    """Canonicalize raw (coeff-vector, multiplicity) pairs over Q or GF(p).
 
-    Zero vectors are dropped, proportional forms are merged by summing
+    Coefficients may be ints or ``Fraction``s.  Zero vectors are dropped, proportional forms are merged by summing
     multiplicities, and the result is sorted.  Raises if nothing survives.
     """
     merged = {}
@@ -143,14 +155,14 @@ def normalize(raw_forms, k: int) -> FormCollection:
             raise ValueError("form %r has %d coefficients, expected %d" % (coeffs, len(coeffs), k))
         if mult < 1:
             raise ValueError("multiplicity must be positive")
-        canon = _canonical_coeffs(coeffs)
+        canon = canonical_coeffs(coeffs, p)
         if canon is None:
             continue
         merged[canon] = merged.get(canon, 0) + mult
     if not merged:
         raise ValueError("empty collection")
     groups = sorted(((LinearForm(c), m) for c, m in merged.items()), key=lambda g: _sort_key(*g))
-    return FormCollection(k, tuple(groups))
+    return FormCollection(k, tuple(groups), p)
 
 
 def delete(sigma: FormCollection, group_index: int):
@@ -163,7 +175,7 @@ def delete(sigma: FormCollection, group_index: int):
             raw.append((form.coeffs, mult))
     if not raw:
         return None
-    return normalize(raw, sigma.k)
+    return normalize(raw, sigma.k, sigma.p)
 
 
 def drop_group(sigma: FormCollection, group_index: int):
@@ -171,18 +183,21 @@ def drop_group(sigma: FormCollection, group_index: int):
     groups = [g for i, g in enumerate(sigma.groups) if i != group_index]
     if not groups:
         return None
-    return FormCollection(sigma.k, tuple(groups))
+    return FormCollection(sigma.k, tuple(groups), sigma.p)
 
 
 def contract(sigma: FormCollection, group_index: int):
     """Reduce the other forms modulo the chosen form, in one fewer variable.
 
+    Each image is the cross-multiplied ``ell[j] * f - f[j] * ell`` with the
+    pivot coordinate j dropped; normalizing reduces it mod p over GF(p).
     Returns (surviving collection or None, zero_count).  The contracted
     form itself is not counted; its remaining copies and anything
     proportional to it are.
     """
     ell = sigma.groups[group_index][0].coeffs
     j = next(i for i, x in enumerate(ell) if x != 0)
+    lj = ell[j]
     survivors = []
     zero_count = 0
     for gi, (form, mult) in enumerate(sigma.groups):
@@ -190,20 +205,15 @@ def contract(sigma: FormCollection, group_index: int):
             zero_count += mult - 1
             continue
         f = form.coeffs
-        factor = f[j] / ell[j]
-        image = tuple(f[i] - factor * ell[i] for i in range(len(f)) if i != j)
-        if any(x != 0 for x in image):
+        fj = f[j]
+        image = [lj * f[i] - fj * ell[i] for i in range(len(f)) if i != j]
+        if any(image):
             survivors.append((image, mult))
         else:
             zero_count += mult
     if not survivors:
         return None, zero_count
-    return normalize(survivors, sigma.k - 1), zero_count
-
-
-def coefficient_matrix(sigma: FormCollection) -> Matrix:
-    """The k x n matrix with one column per form copy, in group order."""
-    return Matrix.from_columns(sigma.expanded_columns())
+    return normalize(survivors, sigma.k - 1, sigma.p), zero_count
 
 
 def essentialize(sigma: FormCollection) -> FormCollection:
@@ -211,15 +221,18 @@ def essentialize(sigma: FormCollection) -> FormCollection:
 
     The ambient count drops to the rank r of the coefficient matrix.  The
     change of coordinates is invertible on the span, so every subset rank
-    (hence every Betti number) is unchanged.
+    (hence every Betti number) is unchanged.  The kept coordinates are the
+    leading columns of an echelon basis of the forms, which are the pivot
+    columns of any echelon form of the coefficient matrix's transpose.
     """
-    rows = [form.coeffs for form, _ in sigma.groups]
-    _, pivots = rref(rows)
-    r = len(pivots)
-    if r == sigma.k:
-        return sigma
-    raw = [(tuple(form.coeffs[p] for p in pivots), mult) for form, mult in sigma.groups]
-    return normalize(raw, r)
+    ech = IntEchelon(sigma.k, sigma.p)
+    for form, _ in sigma.groups:
+        ech.add(form.coeffs)
+        if ech.is_full():
+            return sigma
+    pivots = sorted(ech.pivot_rows)
+    raw = [(tuple(form.coeffs[c] for c in pivots), mult) for form, mult in sigma.groups]
+    return normalize(raw, len(pivots), sigma.p)
 
 
 def reduction_data(sigma: FormCollection, a: int) -> ReductionData:
@@ -231,15 +244,3 @@ def reduction_data(sigma: FormCollection, a: int) -> ReductionData:
     e = max(a - sum(e_list), 0)
     return ReductionData(e_list, e)
 
-
-def int_columns(sigma: FormCollection):
-    """Expanded columns scaled to primitive integer vectors (rational case).
-
-    Per-column scaling changes no subset rank and no dependency support,
-    so the matroid machinery can run on integers.  Prime-field collections
-    are returned as-is.
-    """
-    cols = sigma.expanded_columns()
-    if cols and any(isinstance(x, Fp) for x in cols[0]):
-        return [tuple(col) for col in cols]
-    return [primitive_int_vector(col) for col in cols]

@@ -17,49 +17,35 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .exactlin import Fp, bareiss_rank, gauss_rank
-from .forms import FormCollection, contract, drop_group, essentialize, int_columns
+from .exactlin import bareiss_rank
+from .forms import FormCollection, contract, drop_group, essentialize
 
-_int_cols_cache = {}
+_full_rank_cache = {}
 _hamming_cache = {}
 _tutte_cache = {}
 
 
-def _columns(sigma):
-    cols = _int_cols_cache.get(sigma)
-    if cols is None:
-        cols = int_columns(sigma)
-        _int_cols_cache[sigma] = cols
-    return cols
-
-
-def _cols_rank(cols):
-    if not cols:
-        return 0
-    if isinstance(cols[0][0], Fp):
-        return gauss_rank(cols)
-    return bareiss_rank([list(c) for c in cols])
-
-
-_full_rank_cache = {}
+def _group_columns(sigma):
+    """One coefficient tuple per group: enough for ranks of closures."""
+    return [form.coeffs for form, _ in sigma.groups]
 
 
 def full_rank(sigma: FormCollection) -> int:
     """Rank of the whole coefficient matrix (the effective rank)."""
     r = _full_rank_cache.get(sigma)
     if r is None:
-        r = _cols_rank(_columns(sigma))
+        r = bareiss_rank(_group_columns(sigma), sigma.p)
         _full_rank_cache[sigma] = r
     return r
 
 
 def subset_rank(sigma: FormCollection, subset) -> int:
     """Rank of the selected expanded columns."""
-    cols = _columns(sigma)
+    cols = sigma.expanded_columns()
     subset = sorted(set(subset))
     if subset and not (0 <= subset[0] and subset[-1] < len(cols)):
         raise ValueError("column index out of range 0..%d" % (len(cols) - 1))
-    return _cols_rank([cols[i] for i in subset])
+    return bareiss_rank([cols[i] for i in subset], sigma.p)
 
 
 def circuits_up_to(sigma: FormCollection, max_len: int):
@@ -71,14 +57,14 @@ def circuits_up_to(sigma: FormCollection, max_len: int):
     n = sigma.n
     if not 1 <= max_len <= n:
         raise ValueError("max_len %d out of range 1..%d" % (max_len, n))
-    cols = _columns(sigma)
+    cols = sigma.expanded_columns()
     circuits = []
     for size in range(1, max_len + 1):
         for cand in combinations(range(n), size):
             cset = set(cand)
             if any(c <= cset for c in circuits):
                 continue
-            if _cols_rank([cols[i] for i in cand]) < size:
+            if bareiss_rank([cols[i] for i in cand], sigma.p) < size:
                 circuits.append(frozenset(cand))
     return [tuple(sorted(c)) for c in circuits]
 
@@ -92,16 +78,11 @@ def rank2_flats(sigma: FormCollection):
     """
     if full_rank(sigma) < 2:
         raise ValueError("effective rank must be at least 2")
-    t = sigma.t
-    # one representative column per group
-    gcols = []
-    pos = 0
-    for _, mult in sigma.groups:
-        gcols.append(_columns(sigma)[pos])
-        pos += mult
+    t, p = sigma.t, sigma.p
+    gcols = _group_columns(sigma)
     flats = set()
     for i, j in combinations(range(t), 2):
-        members = [g for g in range(t) if _cols_rank([gcols[i], gcols[j], gcols[g]]) == 2]
+        members = [g for g in range(t) if bareiss_rank([gcols[i], gcols[j], gcols[g]], p) == 2]
         flats.add(tuple(members))
     mults = sigma.multiplicities
     sized = [(flat, sum(mults[g] for g in flat)) for flat in flats]
@@ -125,22 +106,18 @@ def _max_columns_with_rank_at_most(sigma, q: int) -> int:
     """
     if q <= 0:
         return 0
-    t = sigma.t
-    gcols = []
-    pos = 0
-    for _, mult in sigma.groups:
-        gcols.append(_columns(sigma)[pos])
-        pos += mult
+    t, p = sigma.t, sigma.p
+    gcols = _group_columns(sigma)
     mults = sigma.multiplicities
     best = 0
     for r in range(1, q + 1):
         for subset in combinations(range(t), r):
             chosen = [gcols[g] for g in subset]
-            if _cols_rank(chosen) < r:
+            if bareiss_rank(chosen, p) < r:
                 continue
             size = 0
             for g in range(t):
-                if g in subset or _cols_rank(chosen + [gcols[g]]) == r:
+                if g in subset or bareiss_rank(chosen + [gcols[g]], p) == r:
                     size += mults[g]
             best = max(best, size)
     return best
@@ -243,7 +220,7 @@ def tutte_polynomial(sigma: FormCollection) -> TuttePoly:
     deleted = drop_group(sigma, 0)
     contracted, _ = contract(sigma, 0)
     t_con = tutte_polynomial(contracted).coeffs if contracted is not None else {(0, 0): 1}
-    if deleted is None or _cols_rank(_columns(deleted)) < _cols_rank(_columns(sigma)):
+    if deleted is None or full_rank(deleted) < full_rank(sigma):
         factor = {(1, 0): 1}
         for j in range(1, m):
             factor[(0, j)] = 1
@@ -263,12 +240,12 @@ def tutte_polynomial_subset_sum(sigma: FormCollection) -> TuttePoly:
     n = sigma.n
     if n > 16:
         raise ValueError("subset-sum Tutte is limited to n <= 16")
-    cols = _columns(sigma)
-    full = _cols_rank(cols)
+    cols = sigma.expanded_columns()
+    full = full_rank(sigma)
     counts = {}
     for size in range(n + 1):
         for subset in combinations(range(n), size):
-            r = _cols_rank([cols[i] for i in subset])
+            r = bareiss_rank([cols[i] for i in subset], sigma.p)
             key = (full - r, size - r)
             counts[key] = counts.get(key, 0) + 1
     out = {}

@@ -14,22 +14,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from .betti import BettiTable
-from .exactlin import (
-    Fp,
-    IntEchelon,
-    Matrix,
-    SparseIntEchelon,
-    gauss_rank,
-    kernel_basis,
-    sparse_gauss_rank,
-)
-from .forms import FormCollection, essentialize
+from .exactlin import IntEchelon, SparseIntEchelon
+from .forms import FormCollection, canonical_coeffs, essentialize
 from .matroid import circuits_up_to
 
 DEFAULT_CELL_LIMIT = 5_000_000
@@ -41,7 +32,16 @@ class OracleLimitError(Exception):
 
 
 def _cell_limit():
-    return int(os.environ.get("FOLDBETTI_ORACLE_CELL_LIMIT", DEFAULT_CELL_LIMIT))
+    text = os.environ.get("FOLDBETTI_ORACLE_CELL_LIMIT")
+    if text is None:
+        return DEFAULT_CELL_LIMIT
+    try:
+        limit = int(text)
+        if limit >= 1:
+            return limit
+    except ValueError:
+        pass
+    raise ValueError("FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer, got %r" % text)
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +56,7 @@ def monomial_basis(k: int, d: int):
     return tuple(out)
 
 
-def _poly_mul_linear(poly, form):
+def _poly_mul_linear(poly, form, p):
     out = {}
     for exp, c in poly.items():
         for i, fi in enumerate(form):
@@ -64,6 +64,8 @@ def _poly_mul_linear(poly, form):
                 continue
             e2 = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
             v = out.get(e2, 0) + c * fi
+            if p is not None:
+                v %= p
             if v != 0:
                 out[e2] = v
             elif e2 in out:
@@ -74,23 +76,19 @@ def _poly_mul_linear(poly, form):
 def fold_generators(sigma: FormCollection, a: int):
     """All C(n, a) fold products, expanded in the degree-a monomial basis.
 
-    Repeated forms give repeated polynomials; callers that only need ranks
-    deduplicate afterwards.
+    Coefficients are ints (residues mod p over GF(p)).  Repeated forms
+    give repeated polynomials; callers that only need ranks deduplicate
+    afterwards.
     """
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
     cols = sigma.expanded_columns()
     k = sigma.k
-    one = Fraction(1)
-    for x in cols[0]:
-        if isinstance(x, Fp):
-            one = Fp(1, x.p)
-            break
     out = []
     for subset in combinations(range(sigma.n), a):
-        poly = {(0,) * k: one}
+        poly = {(0,) * k: 1}
         for j in subset:
-            poly = _poly_mul_linear(poly, cols[j])
+            poly = _poly_mul_linear(poly, cols[j], sigma.p)
         out.append(poly)
     return out
 
@@ -104,23 +102,6 @@ def _dedup_polys(polys):
             seen.add(key)
             unique.append(poly)
     return unique
-
-
-def _poly_to_int_coeffs(poly):
-    """Clear denominators; the scaling is per row so ranks are unchanged."""
-    lcm = 1
-    for c in poly.values():
-        d = c.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    out = {e: int(c * lcm) for e, c in poly.items()}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        out = {e: v // g for e, v in out.items()}
-    return out
 
 
 def hilbert_function(sigma: FormCollection, a: int, d: int) -> int:
@@ -145,27 +126,16 @@ def hilbert_function(sigma: FormCollection, a: int, d: int) -> int:
     gens = _dedup_polys(fold_generators(sigma, a))
     index = {e: i for i, e in enumerate(basis)}
     width = len(basis)
-    rational = not any(isinstance(c, Fp) for c in gens[0].values())
-    if rational:
-        int_gens = [_poly_to_int_coeffs(g) for g in gens]
-        ech = IntEchelon(width)
-        for g in int_gens:
-            for mu in mults:
-                row = [0] * width
-                for e, c in g.items():
-                    row[index[tuple(x + y for x, y in zip(e, mu))]] = c
-                ech.add(row)
-            if ech.is_full():
-                break
-        return ech.rank
-    rows = []
+    ech = IntEchelon(width, sigma.p)
     for g in gens:
         for mu in mults:
             row = [0] * width
             for e, c in g.items():
                 row[index[tuple(x + y for x, y in zip(e, mu))]] = c
-            rows.append(row)
-    return gauss_rank(rows)
+            ech.add(row)
+        if ech.is_full():
+            break
+    return ech.rank
 
 
 def betti_from_hilbert(sigma: FormCollection, a: int) -> BettiTable:
@@ -220,12 +190,30 @@ class RelationSpace:
     rank: int
 
 
+def circuit_dependency(cols, p=None):
+    """The one linear dependency of a circuit's columns.
+
+    It comes in the canonical scale of forms: over Q primitive with a
+    positive first entry, over GF(p) with first entry 1.  Echelonizes the rows [v_i | e_i]: the v-parts span rank s - 1, so
+    exactly one stored row has its leading column at or past k, and its
+    e-part holds the coefficients c with sum c_i v_i = 0.
+    """
+    k, s = len(cols[0]), len(cols)
+    ech = IntEchelon(k + s, p)
+    for i, col in enumerate(cols):
+        ech.add(tuple(col) + (0,) * i + (1,) + (0,) * (s - i - 1))
+    deps = [row[k:] for c, row in ech.pivot_rows.items() if c >= k]
+    if len(deps) != 1:
+        raise AssertionError("columns %r have nullity %d, not 1" % (cols, len(deps)))
+    return canonical_coeffs(deps[0], p)
+
+
 def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
     """Enumerate circuit-derived relation vectors and compute their rank.
 
-    Each circuit of length s carries one dependency (normalized so the entry
-    at its smallest index is 1); every choice of n-s+1-a leftover columns to
-    divide out produces one sparse vector.
+    Each circuit of length s carries one dependency, in the canonical scale
+    of forms (see :func:`circuit_dependency`); every choice of n-s+1-a
+    leftover columns to divide out produces one sparse vector.
     """
     n = sigma.n
     if not 1 <= a <= n - 1:
@@ -241,10 +229,7 @@ def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
     generators = []
     for circuit in circuits_up_to(sigma, n - a + 1):
         s = len(circuit)
-        basis = kernel_basis(Matrix.from_columns([cols[j] for j in circuit]))
-        if len(basis) != 1:
-            raise AssertionError("circuit %r has nullity %d" % (circuit, len(basis)))
-        dep = basis[0]
+        dep = circuit_dependency([cols[j] for j in circuit], sigma.p)
         others = [u for u in range(n) if u not in circuit]
         cset = set(circuit)
         for divisor in combinations(others, n - s + 1 - a):
@@ -254,22 +239,10 @@ def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
                 key = tuple(sorted(dset | (cset - {j})))
                 vec[position[key]] = dep[idx]
             generators.append(vec)
-    if generators and any(isinstance(v, Fp) for v in generators[0].values()):
-        rank = sparse_gauss_rank(generators)
-    else:
-        ech = SparseIntEchelon()
-        for vec in generators:
-            ech.add(_sparse_to_ints(vec))
-        rank = ech.rank
-    return RelationSpace(a, ambient, generators, rank)
-
-
-def _sparse_to_ints(vec):
-    lcm = 1
-    for c in vec.values():
-        d = c.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    return {j: int(c * lcm) for j, c in vec.items()}
+    ech = SparseIntEchelon(sigma.p)
+    for vec in generators:
+        ech.add(vec)
+    return RelationSpace(a, ambient, generators, ech.rank)
 
 
 def b1_via_circuits(sigma: FormCollection, a: int) -> int:

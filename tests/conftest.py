@@ -1,11 +1,43 @@
 """Shared fixtures: the worked examples as collections, random generators,
-and a terminal-summary hook that prints one line per acceptance criterion."""
+the naive reference eliminator, and a terminal-summary hook that prints one
+line per acceptance criterion."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from foldbetti import normalize
+
+
+def gauss_rank(rows, p=None):
+    """Rank by naive division-based elimination: the independent reference.
+
+    Over Q (``p=None``) entries become ``Fraction``s; over GF(p) they are
+    residues and division multiplies by the modular inverse.
+    """
+    if p is None:
+        rows = [[Fraction(x) for x in r] for r in rows]
+    else:
+        rows = [[x % p for x in r] for r in rows]
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(nc):
+        pivot = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
+        for i in range(r + 1, nr):
+            f = rows[i][c] * inv
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            if p is not None:
+                rows[i] = [x % p for x in rows[i]]
+        r += 1
+        if r == nr:
+            break
+    return r
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 """Instance parsing, report schemas, exit codes, and output stability."""
 
 import json
+import sys
 
 import pytest
 
+from foldbetti import cli
 from foldbetti.cli import (
     CommandError,
     InstanceError,
@@ -254,3 +256,53 @@ def test_verify_with_oracle_guardrail_gives_partial_report(monkeypatch):
     assert entry["methods"]["recursion"]["b"] == [14, 22, 9]
     assert entry["verdict"] == "agree"
     assert report.ok
+
+
+def test_main_recursion_error_is_one_line(tmp_path, capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "run", too_deep)
+    assert main(["betti", "--input", write_instance(tmp_path), "--fold", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("foldbetti: ") and "recursion limit" in err
+
+
+def test_main_deep_pencil_exits_3_without_traceback(tmp_path, capsys):
+    # a 300-line pencil in k=2 makes the Tutte recursion 300 calls deep
+    doc = {"k": 2, "forms": [{"coeffs": ["1", str(i)], "mult": 1} for i in range(300)]}
+    path = write_instance(tmp_path, doc)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        code = main(["tutte", "--input", path])
+    finally:
+        sys.setrecursionlimit(old)
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("foldbetti: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["1e6", "5.0", "many"])
+def test_cell_limit_must_be_an_integer(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", value)
+    assert main(["verify", "--input", write_instance(tmp_path), "--fold", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer" in err
+    assert repr(value) in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_cell_limit_must_be_positive(tmp_path, capsys, monkeypatch, value):
+    # a non-positive limit used to skip every Hilbert oracle and still agree
+    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", value)
+    assert main(["verify", "--input", write_instance(tmp_path), "--fold", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer" in captured.err
+    assert "agree" not in captured.out

@@ -1,106 +1,119 @@
-"""Rank, kernel, and stacking goldens plus the fraction-free/naive cross-check."""
+"""Rank and dependency goldens for the integer engines, cross-checked against
+the naive reference eliminator in ``conftest`` over Q and GF(p)."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from foldbetti.exactlin import (
-    Fp,
-    Matrix,
-    bareiss_rank,
-    gauss_rank,
-    kernel_basis,
-    rank,
-    row_space_rank_of_stack,
-    sparse_gauss_rank,
-    SparseIntEchelon,
-)
+from foldbetti.exactlin import IntEchelon, SparseIntEchelon, bareiss_rank
+from foldbetti.forms import FormCollection, LinearForm, canonical_coeffs, normalize
+from foldbetti.oracle import circuit_dependency
 
-G_2_5 = Matrix.from_rows(
-    [
-        (1, 1, 0, 0, 1, 0, 1),
-        (0, 0, 1, 0, 0, 1, 2),
-        (0, 0, 0, 1, -1, 1, 5),
-    ]
-)
+from conftest import gauss_rank
+
+G_2_5 = [
+    (1, 1, 0, 0, 1, 0, 1),
+    (0, 0, 1, 0, 0, 1, 2),
+    (0, 0, 0, 1, -1, 1, 5),
+]
+
+
+def transpose(rows):
+    return [tuple(col) for col in zip(*rows)]
+
+
+def nullity(cols, p=None):
+    """Dimension of the dependencies among ``cols``: the rows of an echelon
+    of [v_i | e_i] whose leading column lies in the e-part."""
+    k, s = len(cols[0]), len(cols)
+    ech = IntEchelon(k + s, p)
+    for i, col in enumerate(cols):
+        ech.add(tuple(col) + tuple(int(i == j) for j in range(s)))
+    return sum(1 for c in ech.pivot_rows if c >= k)
+
+
+def random_matrix(rng, bound):
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
 def test_rank_example_matrix():
-    assert rank(G_2_5) == 3
+    assert bareiss_rank(G_2_5) == 3
+    assert gauss_rank(G_2_5) == 3
 
 
 def test_rank_empty_matrix():
-    assert rank(Matrix(0, 0, [])) == 0
+    assert bareiss_rank([]) == 0
+    assert bareiss_rank([], 7) == 0
 
 
 def test_rank_proportional_rows():
-    assert rank(Matrix.from_rows([(1, 2), (2, 4)])) == 1
+    assert bareiss_rank([(1, 2), (2, 4)]) == 1
 
 
 def test_rank_rational_entries():
-    m = Matrix.from_rows([(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(1, 7))])
-    assert rank(m) == 2
-    singular = Matrix.from_rows([(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1, 1))])
-    assert rank(singular) == 1
+    # rational rows reach the engines scaled to integers by the canonicalizer
+    m = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(1, 7))]
+    assert bareiss_rank([canonical_coeffs(r) for r in m]) == 2 == gauss_rank(m)
+    singular = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1, 1))]
+    assert bareiss_rank([canonical_coeffs(r) for r in singular]) == 1 == gauss_rank(singular)
 
 
 def test_kernel_circuit_columns():
     # columns (l1, l4, l5) of the example matrix carry a single dependency
-    m = Matrix.from_columns([(1, 0, 0), (0, 0, 1), (1, 0, -1)])
-    basis = kernel_basis(m)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v == (1, -1, -1)
     cols = [(1, 0, 0), (0, 0, 1), (1, 0, -1)]
+    v = circuit_dependency(cols)
+    assert v == (1, -1, -1)
     for coord in range(3):
         assert sum(v[i] * cols[i][coord] for i in range(3)) == 0
     assert all(x != 0 for x in v)
+    assert circuit_dependency(cols, 7) == (1, 6, 6)
 
 
 def test_kernel_identity_is_empty():
-    assert kernel_basis(Matrix.from_rows([(1, 0), (0, 1)])) == []
+    assert nullity([(1, 0), (0, 1)]) == 0
 
 
 def test_kernel_single_equation():
-    assert kernel_basis(Matrix.from_rows([(1, 1)])) == [(1, -1)]
+    # the 1 x 2 matrix (1 1): its two columns are parallel
+    assert circuit_dependency([(1,), (1,)]) == (1, -1)
+    assert nullity([(1,), (1,)]) == 1
 
 
 def test_stack_rank_basic():
-    assert row_space_rank_of_stack([(1, 0), (0, 1), (1, 1)]) == 2
-    assert row_space_rank_of_stack([]) == 0
+    assert bareiss_rank([(1, 0), (0, 1), (1, 1)]) == 2
+    assert bareiss_rank([]) == 0
 
 
 def test_stack_rank_length_mismatch():
-    with pytest.raises(ValueError):
-        row_space_rank_of_stack([(1, 0), (1,)])
+    # vector lengths are validated where forms enter: at normalization
+    with pytest.raises(ValueError, match="expected 2"):
+        normalize([((1, 0), 1), ((1,), 1)], 2)
 
 
 def test_rank_transpose_randomized():
     rng = random.Random(7)
     for _ in range(40):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = Matrix(rows, cols, [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
-        assert rank(m) == rank(m.transpose())
+        m = random_matrix(rng, 5)
+        assert bareiss_rank(m) == bareiss_rank(transpose(m))
+        assert bareiss_rank(m, 3) == bareiss_rank(transpose(m), 3)
 
 
 def test_rank_plus_nullity_is_cols():
     rng = random.Random(8)
     for _ in range(40):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = Matrix(rows, cols, [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-        assert rank(m) + len(kernel_basis(m)) == cols
+        m = random_matrix(rng, 4)
+        cols = len(m[0])
+        assert bareiss_rank(m) + nullity(transpose(m)) == cols
+        assert bareiss_rank(m, 5) + nullity(transpose(m), 5) == cols
 
 
 def test_bareiss_matches_naive_elimination():
     rng = random.Random(9)
     for _ in range(30):
         rows = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)]
-        assert bareiss_rank([list(r) for r in rows]) == gauss_rank(
-            [[Fraction(x) for x in row] for row in rows]
-        )
+        assert bareiss_rank(rows) == gauss_rank(rows)
 
 
 def test_exact_rational_arithmetic_is_bitwise():
@@ -115,46 +128,59 @@ def test_exact_rational_arithmetic_is_bitwise():
 
 
 def test_entries_grid_validated():
-    with pytest.raises(ValueError):
-        Matrix(2, 2, [(1, 2), (3,)])
+    with pytest.raises(ValueError, match="ambient is 3"):
+        FormCollection(3, ((LinearForm((1, 0)), 1),))
 
 
 def test_prime_field_rank_and_kernel():
     p = 7
-    m = Matrix.from_rows([[Fp(1, p), Fp(3, p)], [Fp(2, p), Fp(6, p)]])
-    assert rank(m) == 1
-    basis = kernel_basis(m)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] * Fp(1, p) + v[1] * Fp(3, p) == 0
+    m = [(1, 3), (2, 6)]
+    assert bareiss_rank(m, p) == 1 == gauss_rank(m, p)
+    v = circuit_dependency(transpose(m), p)
+    assert v[0] == 1
+    assert (v[0] * 1 + v[1] * 3) % p == 0
+    assert (v[0] * 2 + v[1] * 6) % p == 0
 
 
 def test_prime_field_arithmetic():
-    x = Fp(3, 5)
-    assert x + 4 == Fp(2, 5)
-    assert 1 - x == Fp(3, 5)
-    assert x / Fp(2, 5) == Fp(4, 5)
-    assert 2 / x == Fp(4, 5)
-    with pytest.raises(ZeroDivisionError):
-        x / Fp(0, 5)
+    # 3 * 2 = 1 in GF(5), so (3, 4) scales to (1, 8 mod 5)
+    assert canonical_coeffs((3, 4), 5) == (1, 3)
+    # 1/2 = 3 in GF(5)
+    assert canonical_coeffs((Fraction(1, 2), 1), 5) == (1, 2)
+    assert canonical_coeffs((5, -10), 5) is None
     with pytest.raises(ValueError):
-        x + Fp(1, 7)
+        canonical_coeffs((Fraction(1, 5), 1), 5)
 
 
 def test_sparse_echelon_matches_dense():
     rng = random.Random(11)
-    for _ in range(30):
-        vectors = []
-        width = rng.randint(3, 10)
-        for _ in range(rng.randint(1, 12)):
-            vec = {}
-            for _ in range(rng.randint(1, 4)):
-                vec[rng.randrange(width)] = rng.randint(-5, 5)
-            vectors.append(vec)
-        dense = [[v.get(c, 0) for c in range(width)] for v in vectors]
-        expected = rank(Matrix.from_rows(dense))
-        ech = SparseIntEchelon()
-        for v in vectors:
-            ech.add(v)
-        assert ech.rank == expected
-        assert sparse_gauss_rank([{c: Fraction(x) for c, x in v.items()} for v in vectors]) == expected
+    for p in (None, 7):
+        for _ in range(30):
+            vectors = []
+            width = rng.randint(3, 10)
+            for _ in range(rng.randint(1, 12)):
+                vec = {}
+                for _ in range(rng.randint(1, 4)):
+                    vec[rng.randrange(width)] = rng.randint(-5, 5)
+                vectors.append(vec)
+            dense = [[v.get(c, 0) for c in range(width)] for v in vectors]
+            ech = SparseIntEchelon(p)
+            for v in vectors:
+                ech.add(v)
+            assert ech.rank == gauss_rank(dense, p)
+
+
+@pytest.mark.parametrize("p", [None, 101, 3])
+def test_engines_agree_with_reference(p):
+    rng = random.Random(12)
+    for _ in range(40):
+        rows = random_matrix(rng, 6)
+        expected = gauss_rank(rows, p)
+        assert bareiss_rank(rows, p) == expected
+        dense = IntEchelon(len(rows[0]), p)
+        sparse = SparseIntEchelon(p)
+        grew = [dense.add(row) for row in rows]
+        for row in rows:
+            sparse.add(dict(enumerate(row)))
+        assert dense.rank == sparse.rank == expected == sum(grew)
+        assert dense.is_full() == (expected == len(rows[0]))

@@ -6,18 +6,16 @@ from fractions import Fraction
 import pytest
 
 from foldbetti import (
-    coefficient_matrix,
     contract,
     delete,
     essentialize,
     normalize,
-    rank,
     reduction_data,
     subset_rank,
 )
 from foldbetti.forms import FormCollection, LinearForm
 
-from conftest import make_random_collection
+from conftest import gauss_rank, make_random_collection
 
 
 def groups_of(sigma):
@@ -63,11 +61,28 @@ def test_normalize_idempotent(rng):
 
 
 def test_linear_form_must_be_canonical():
+    # over Q: a primitive integer vector whose first nonzero entry is positive
     with pytest.raises(ValueError):
-        LinearForm((Fraction(2), Fraction(0)))
+        LinearForm((2, 0))
     with pytest.raises(ValueError):
-        LinearForm((Fraction(0), Fraction(0)))
-    assert LinearForm.make((4, 2)).coeffs == (1, Fraction(1, 2))
+        LinearForm((0, -1))
+    with pytest.raises(ValueError):
+        LinearForm((0, 0))
+    assert LinearForm.make((4, 2)).coeffs == (2, 1)
+    assert LinearForm.make((0, -4, 6)).coeffs == (0, 2, -3)
+    assert LinearForm.make((Fraction(-1, 2), Fraction(1, 3))).coeffs == (3, -2)
+    # over GF(p): residues in [0, p) with first nonzero entry 1
+    assert LinearForm.make((2, 3), 7).coeffs == (1, 5)
+    assert LinearForm.make((0, -1), 7).coeffs == (0, 1)
+    with pytest.raises(ValueError, match="GF\\(7\\)"):
+        FormCollection(2, ((LinearForm((1, 9)), 1),), 7)
+
+
+def test_normalize_prime_field_merges_mod_p():
+    sigma = normalize([((1, 4), 1), ((1, 1), 1), ((2, -1), 1), ((0, 1), 1)], 2, 3)
+    assert sigma.p == 3
+    assert groups_of(sigma) == [((1, 1), 3), ((0, 1), 1)]
+    assert normalize([((1, 4), 1), ((1, 1), 1)], 2).t == 2
 
 
 def test_delete_example(example_2_5):
@@ -149,7 +164,7 @@ def test_essentialize_rank2():
     sigma = normalize([((0, 1, 0), 1), ((0, 0, 1), 1), ((0, 1, 1), 1)], 3)
     ess = essentialize(sigma)
     assert ess.k == 2
-    assert rank(coefficient_matrix(ess)) == 2
+    assert gauss_rank(ess.expanded_columns()) == 2
 
 
 def test_essentialize_preserves_matroid(rng):
@@ -205,17 +220,16 @@ def test_reduction_data_range_check(example_4_3):
 
 
 def test_coefficient_matrix_example(example_2_5):
-    m = coefficient_matrix(example_2_5)
-    assert (m.rows, m.cols) == (3, 7)
-    assert rank(m) == 3
+    # the coefficient matrix is the expanded columns, one per form copy
+    cols = example_2_5.expanded_columns()
+    assert len(cols) == 7 and all(len(c) == 3 for c in cols)
+    assert gauss_rank(cols) == 3
     # multiplicity 2 group expands to two identical leading columns
-    assert m.column(0) == m.column(1)
+    assert cols[0] == cols[1]
 
 
 def test_coefficient_matrix_single_form():
-    m = coefficient_matrix(normalize([((1, 0, 0), 1)], 3))
-    assert (m.rows, m.cols) == (3, 1)
-    assert m.column(0) == (1, 0, 0)
+    assert normalize([((1, 0, 0), 1)], 3).expanded_columns() == [(1, 0, 0)]
 
 
 def test_collection_validates_order():

@@ -14,11 +14,10 @@ from foldbetti import (
     normalize,
     rank2_flats,
     relation_space,
-    row_space_rank_of_stack,
 )
 from foldbetti.oracle import OracleLimitError, hf_report, monomial_basis
 
-from conftest import make_random_arrangement, make_random_collection
+from conftest import gauss_rank, make_random_arrangement, make_random_collection
 
 
 def distinct_polys(polys):
@@ -92,7 +91,7 @@ def test_relation_space_example(example_4_3):
     assert len(space.generators) == 12
     assert space.rank == 7
     dense = [[vec.get(c, 0) for c in range(space.ambient_dim)] for vec in space.generators]
-    assert row_space_rank_of_stack(dense) == 7
+    assert gauss_rank(dense) == 7
 
 
 def test_relation_space_simple_high_fold():
