@@ -336,7 +336,7 @@ def _recursion_dispatch(ess, a, tutte_threshold):
     if d[0] < a <= d[1] and n <= tutte_threshold:
         return betti_from_b1_height_km1(k, a, b1_tutte(ess, a))
     deleted = delete(ess, 0)
-    contracted, _ = contract(ess, 0)
+    contracted = contract(ess, 0)
     t_del = betti_recursion(deleted, a - 1, tutte_threshold) if deleted is not None else None
     t_con = None
     if contracted is not None and a <= contracted.n:
@@ -364,7 +364,7 @@ def betti_k3_block(sigma: FormCollection, a: int) -> BettiTable:
     if k <= 2:
         return betti_rank2(ess, a)
     m1 = ess.groups[0][1]
-    contracted, _ = contract(ess, 0)
+    contracted = contract(ess, 0)
     acc = [0, 0, 0]
     for j in range(min(m1, a)):
         fold = a - j

@@ -30,7 +30,7 @@ from .matroid import (
     tutte_polynomial,
     tutte_shifted_coeffs,
 )
-from .oracle import OracleLimitError, b1_via_circuits, betti_from_hilbert, hf_report
+from .oracle import OracleLimitError, _cell_limit, b1_via_circuits, betti_from_hilbert, hf_report
 
 
 class InstanceError(Exception):
@@ -387,6 +387,7 @@ def main(argv=None) -> int:
         print("foldbetti: cannot read %s: %s" % (args.input, exc), file=sys.stderr)
         return 1
     try:
+        _cell_limit()  # reject a bad FOLDBETTI_ORACLE_CELL_LIMIT whatever the command
         instance = parse_instance(text)
         folds = [args.fold] if args.fold is not None else None
         degrees = _parse_degrees(args.degrees) if args.degrees else None

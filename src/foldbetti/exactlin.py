@@ -13,8 +13,9 @@ that every trace is deterministic:
 
 - :func:`bareiss_rank` for the many small one-shot ranks of the matroid
   layer;
-- :class:`IntEchelon` for wide dense rows added one at a time (the Hilbert
-  oracle, which stops at full column rank, and circuit dependencies);
+- :class:`IntEchelon` for dense rows added one at a time (the Hilbert
+  oracle, which stops at full column rank, and circuit dependencies), and
+  for residues modulo a span (the matroid layer's flat enumerator);
 - :class:`SparseIntEchelon` for sparse rows (the circuit-relation space).
 
 Everything here is a pure function of its inputs or owned by the caller, so
@@ -94,36 +95,64 @@ class IntEchelon:
     def rank(self):
         return len(self.pivot_rows)
 
+    def reduce(self, row):
+        """``row`` with every pivot column cleared, as a new list.
+
+        The result is a nonzero multiple of the one vector that differs from
+        ``row`` by an element of the span and vanishes on the pivot columns,
+        so two rows have proportional residues exactly when they are
+        proportional modulo the span.  Over the integers it is primitive.
+        """
+        return self._reduce(row, False)[0]
+
     def add(self, row) -> bool:
         """Reduce ``row`` against the basis; returns True if rank grew."""
+        row, lead = self._reduce(row, True)
+        if lead is None:
+            return False
+        self.pivot_rows[lead] = row
+        return True
+
+    def _reduce(self, row, stop_at_lead):
+        """(reduced row, its first nonzero column without a pivot or None).
+
+        With ``stop_at_lead`` the pivots right of that column are not
+        cleared: ``add`` needs no more, and the Hilbert oracle adds many
+        rows that grow the rank.  Each update scales the whole row,
+        including the nonzero columns left of the pivot that have no pivot
+        of their own.
+        """
         width, p = self.width, self.p
         row = list(row) if p is None else [x % p for x in row]
-        c = 0
-        while c < width:
+        pivot_rows = self.pivot_rows
+        lead = None
+        for c in range(width):
             v = row[c]
             if v == 0:
-                c += 1
                 continue
-            piv = self.pivot_rows.get(c)
+            piv = pivot_rows.get(c)
             if piv is None:
-                if p is None:
-                    g = _primitive(row)
-                    if g > 1:
-                        row = [x // g for x in row]
-                self.pivot_rows[c] = row
-                return True
+                if lead is None:
+                    lead = c
+                    if stop_at_lead:
+                        break
+                continue
             pv = piv[c]
+            start = c if lead is None else lead
             if p is None:
-                for j in range(c, width):
+                for j in range(start, width):
                     row[j] = pv * row[j] - v * piv[j]
                 g = _primitive(row)
                 if g > 1:
                     row = [x // g for x in row]
             else:
-                for j in range(c, width):
+                for j in range(start, width):
                     row[j] = (pv * row[j] - v * piv[j]) % p
-            c += 1
-        return False
+        if p is None and lead is not None:
+            g = _primitive(row)
+            if g > 1:
+                row = [x // g for x in row]
+        return row, lead
 
     def is_full(self):
         return len(self.pivot_rows) == self.width

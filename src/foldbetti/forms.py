@@ -14,9 +14,8 @@ inputs therefore always build the identical object, which is what the
 memoized recursions key on.
 
 Deletion removes one copy of a form.  Contraction reduces every other form
-modulo a chosen form and drops one ambient variable; copies that collapse
-to zero are only counted, never stored, because the one consumer of that
-number (the Betti recursion) just needs how many nonzero forms survive.
+modulo a chosen form and drops one ambient variable; the chosen form's own
+copies vanish, and no other form does.
 """
 
 from __future__ import annotations
@@ -35,15 +34,20 @@ def canonical_coeffs(coeffs, p=None):
     and the gcd divided out; over GF(p) every entry becomes a residue.
     """
     if p is None:
-        if not all(isinstance(x, int) for x in coeffs):
+        try:
+            g = gcd(*coeffs)
+        except TypeError:  # Fraction entries: clear the denominators first
             den = lcm(*(Fraction(x).denominator for x in coeffs))
             coeffs = [int(x * den) for x in coeffs]
-        g = gcd(*coeffs)
+            g = gcd(*coeffs)
         if g == 0:
             return None
-        if next(x for x in coeffs if x) < 0:
-            g = -g
-        return tuple(x // g for x in coeffs)
+        for x in coeffs:
+            if x:
+                if x < 0:
+                    g = -g
+                break
+        return tuple(coeffs) if g == 1 else tuple(x // g for x in coeffs)
     ints = [
         x % p if isinstance(x, int) else x.numerator * pow(x.denominator, -1, p) % p
         for x in coeffs
@@ -191,29 +195,22 @@ def contract(sigma: FormCollection, group_index: int):
 
     Each image is the cross-multiplied ``ell[j] * f - f[j] * ell`` with the
     pivot coordinate j dropped; normalizing reduces it mod p over GF(p).
-    Returns (surviving collection or None, zero_count).  The contracted
-    form itself is not counted; its remaining copies and anything
-    proportional to it are.
+    Returns the images of the other groups, or None when there are none.
+    Every image is nonzero, because no other group is proportional to the
+    chosen one, so the result holds n minus the chosen multiplicity forms.
     """
     ell = sigma.groups[group_index][0].coeffs
     j = next(i for i, x in enumerate(ell) if x != 0)
     lj = ell[j]
-    survivors = []
-    zero_count = 0
+    images = []
     for gi, (form, mult) in enumerate(sigma.groups):
-        if gi == group_index:
-            zero_count += mult - 1
-            continue
-        f = form.coeffs
-        fj = f[j]
-        image = [lj * f[i] - fj * ell[i] for i in range(len(f)) if i != j]
-        if any(image):
-            survivors.append((image, mult))
-        else:
-            zero_count += mult
-    if not survivors:
-        return None, zero_count
-    return normalize(survivors, sigma.k - 1, sigma.p), zero_count
+        if gi != group_index:
+            f = form.coeffs
+            fj = f[j]
+            images.append(([lj * f[i] - fj * ell[i] for i in range(len(f)) if i != j], mult))
+    if not images:
+        return None
+    return normalize(images, sigma.k - 1, sigma.p)
 
 
 def essentialize(sigma: FormCollection) -> FormCollection:

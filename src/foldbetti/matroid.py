@@ -6,6 +6,14 @@ flats, generalized Hamming weights, fold-ideal heights, and the Tutte
 polynomial computed by memoized deletion-contraction with the subset-sum
 definition kept around as an independent cross-check.
 
+Rank-2 flats and Hamming weights read one enumerator of the flats of the
+simple matroid (one element per group), built rank by rank from the empty
+flat.  Its rule is covers by projection: the forms outside a flat F are
+reduced modulo the span of F, and forms whose residues are proportional
+span one flat of the next rank with F.  The flats depend only on the set
+of forms, so they are memoized by it and weighted by each collection's
+multiplicities when read.
+
 The memo tables behave as single logical maps: concurrent callers may
 duplicate work but dict reads/writes of immutable values are atomic, so no
 torn entry can be observed.
@@ -16,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import add
 
-from .exactlin import bareiss_rank
-from .forms import FormCollection, contract, drop_group, essentialize
+from .exactlin import IntEchelon, bareiss_rank
+from .forms import FormCollection, canonical_coeffs, contract, drop_group, essentialize
 
 _full_rank_cache = {}
-_hamming_cache = {}
+_flats_cache = {}
 _tutte_cache = {}
 
 
@@ -69,6 +78,71 @@ def circuits_up_to(sigma: FormCollection, max_len: int):
     return [tuple(sorted(c)) for c in circuits]
 
 
+def _flats(sigma):
+    """The flats of sigma's simple matroid, rank by rank.
+
+    Returns (forms, levels): ``forms`` is the sorted tuple of coefficient
+    tuples, and ``levels[r]`` holds every flat of rank r as a bit mask over
+    ``forms``.  Each flat F below the top two levels keeps the canonical
+    residues modulo F of the forms outside it; forms with equal residues
+    span one flat of rank r + 1 with F, so the classes of equal residues
+    are the covers of F.  A residue vanishes on the pivot columns of F, so
+    reducing it against the one new residue gives the residue modulo the
+    cover.  The top level is every form.
+    """
+    forms = tuple(sorted(form.coeffs for form, _ in sigma.groups))
+    key = (forms, sigma.p)
+    cached = _flats_cache.get(key)
+    if cached is not None:
+        return cached
+    k, p = sigma.k, sigma.p
+    rank = full_rank(sigma)
+    levels = [(0,)]
+    frontier = {0: dict(enumerate(forms))}
+    for r in range(1, rank):
+        covers = {}
+        for flat, residues in frontier.items():
+            classes = {}
+            for i, residue in residues.items():
+                classes[residue] = classes.get(residue, flat) | 1 << i
+            for residue, cover in classes.items():
+                if cover in covers:
+                    continue
+                if r == rank - 1:
+                    covers[cover] = None
+                    continue
+                ech = IntEchelon(k, p)
+                ech.add(residue)
+                covers[cover] = {
+                    i: canonical_coeffs(ech.reduce(other), p)
+                    for i, other in residues.items()
+                    if not cover >> i & 1
+                }
+        levels.append(tuple(covers))
+        frontier = covers
+    levels.append(((1 << len(forms)) - 1,))
+    result = (forms, tuple(levels))
+    _flats_cache[key] = result
+    return result
+
+
+def _multiplicity_layers(sigma, forms):
+    """Masks over ``forms``; layer j holds the forms of multiplicity above j."""
+    mult_of = {form.coeffs: m for form, m in sigma.groups}
+    return [
+        sum(1 << i for i, coeffs in enumerate(forms) if mult_of[coeffs] > j)
+        for j in range(max(mult_of.values()))
+    ]
+
+
+def _sizes(flats, layers):
+    """Each flat's size counted with multiplicity: one popcount per layer."""
+    sizes = [0] * len(flats)
+    for layer in layers:
+        sizes = list(map(add, sizes, map(int.bit_count, map(layer.__and__, flats))))
+    return sizes
+
+
 def rank2_flats(sigma: FormCollection):
     """Closed rank-2 sets of groups, with their size counted by multiplicity.
 
@@ -78,14 +152,13 @@ def rank2_flats(sigma: FormCollection):
     """
     if full_rank(sigma) < 2:
         raise ValueError("effective rank must be at least 2")
-    t, p = sigma.t, sigma.p
-    gcols = _group_columns(sigma)
-    flats = set()
-    for i, j in combinations(range(t), 2):
-        members = [g for g in range(t) if bareiss_rank([gcols[i], gcols[j], gcols[g]], p) == 2]
-        flats.add(tuple(members))
-    mults = sigma.multiplicities
-    sized = [(flat, sum(mults[g] for g in flat)) for flat in flats]
+    forms, levels = _flats(sigma)
+    group_of = {form.coeffs: g for g, (form, _) in enumerate(sigma.groups)}
+    sizes = _sizes(levels[2], _multiplicity_layers(sigma, forms))
+    sized = [
+        (tuple(sorted(group_of[c] for i, c in enumerate(forms) if flat >> i & 1)), size)
+        for flat, size in zip(levels[2], sizes)
+    ]
     sized.sort(key=lambda fs: (-fs[1], fs[0]))
     return sized
 
@@ -97,45 +170,21 @@ class HammingWeights:
     d: tuple
 
 
-def _max_columns_with_rank_at_most(sigma, q: int) -> int:
-    """Largest number of columns (with multiplicity) spanning <= q dimensions.
-
-    The optimum is a flat, and every flat of rank <= q is the closure of an
-    independent set of at most q groups, so closures of small group subsets
-    are enough.
-    """
-    if q <= 0:
-        return 0
-    t, p = sigma.t, sigma.p
-    gcols = _group_columns(sigma)
-    mults = sigma.multiplicities
-    best = 0
-    for r in range(1, q + 1):
-        for subset in combinations(range(t), r):
-            chosen = [gcols[g] for g in subset]
-            if bareiss_rank(chosen, p) < r:
-                continue
-            size = 0
-            for g in range(t):
-                if g in subset or bareiss_rank(chosen + [gcols[g]], p) == r:
-                    size += mults[g]
-            best = max(best, size)
-    return best
-
-
 def hamming_weights(sigma: FormCollection) -> HammingWeights:
-    """Generalized Hamming weights d_1 < ... < d_k = n (full-rank input)."""
-    cached = _hamming_cache.get(sigma)
-    if cached is not None:
-        return cached
+    """Generalized Hamming weights d_1 < ... < d_k = n (full-rank input).
+
+    d_r is n minus the most columns spanning at most k - r dimensions.  The
+    optimum is a flat, and for a full-rank collection the largest flat of
+    rank at most q has rank exactly q, so each d_r reads one level of
+    :func:`_flats`.
+    """
     k = sigma.k
     if full_rank(sigma) != k:
         raise ValueError("collection must have full effective rank")
+    forms, levels = _flats(sigma)
+    layers = _multiplicity_layers(sigma, forms)
     n = sigma.n
-    weights = tuple(n - _max_columns_with_rank_at_most(sigma, k - r) for r in range(1, k + 1))
-    result = HammingWeights(weights)
-    _hamming_cache[sigma] = result
-    return result
+    return HammingWeights(tuple(n - max(_sizes(levels[k - r], layers)) for r in range(1, k + 1)))
 
 
 def height_of_fold_ideal(sigma: FormCollection, a: int) -> int:
@@ -218,7 +267,7 @@ def tutte_polynomial(sigma: FormCollection) -> TuttePoly:
         return cached
     m = sigma.groups[0][1]
     deleted = drop_group(sigma, 0)
-    contracted, _ = contract(sigma, 0)
+    contracted = contract(sigma, 0)
     t_con = tutte_polynomial(contracted).coeffs if contracted is not None else {(0, 0): 1}
     if deleted is None or full_rank(deleted) < full_rank(sigma):
         factor = {(1, 0): 1}

@@ -306,3 +306,17 @@ def test_cell_limit_must_be_positive(tmp_path, capsys, monkeypatch, value):
     captured = capsys.readouterr()
     assert "FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer" in captured.err
     assert "agree" not in captured.out
+
+
+@pytest.mark.parametrize("value", ["1e6", "-5"])
+@pytest.mark.parametrize(
+    "command", [["betti", "--fold", "2"], ["hamming"]], ids=["betti", "hamming"]
+)
+def test_cell_limit_is_checked_before_any_command(tmp_path, capsys, monkeypatch, command, value):
+    # commands that never reach an oracle reject the variable too
+    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", value)
+    assert main([command[0], "--input", write_instance(tmp_path)] + command[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer" in captured.err
+    assert repr(value) in captured.err

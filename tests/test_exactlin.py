@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldbetti.exactlin import IntEchelon, SparseIntEchelon, bareiss_rank
 from foldbetti.forms import FormCollection, LinearForm, canonical_coeffs, normalize
@@ -184,3 +186,34 @@ def test_engines_agree_with_reference(p):
             sparse.add(dict(enumerate(row)))
         assert dense.rank == sparse.rank == expected == sum(grew)
         assert dense.is_full() == (expected == len(rows[0]))
+
+
+def test_reduce_scales_columns_left_of_a_pivot():
+    # pivots at columns 0 and 2; column 1 of the row has none of its own
+    ech = IntEchelon(4)
+    ech.add((1, 0, 0, 0))
+    ech.add((0, 0, 2, 1))
+    row = (0, 1, 1, 0)
+    assert ech.reduce(row) == [0, 2, 0, -1]
+    assert ech.pivot_rows == {0: [1, 0, 0, 0], 2: [0, 0, 2, 1]}
+
+
+@pytest.mark.parametrize("p", [None, 101, 3])
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    basis=st.lists(st.tuples(*[st.integers(-2, 2)] * 4), max_size=3),
+    u=st.tuples(*[st.integers(-2, 2)] * 4),
+    w=st.tuples(*[st.integers(-2, 2)] * 4),
+)
+def test_residues_match_rank_modulo_the_span(p, basis, u, w):
+    ech = IntEchelon(4, p)
+    for row in basis:
+        ech.add(row)
+    r = gauss_rank(basis, p)
+    assert ech.rank == r
+    ru, rw = ech.reduce(u), ech.reduce(w)
+    assert all(ru[c] == 0 for c in ech.pivot_rows)
+    assert any(ru) == (gauss_rank(basis + [u], p) > r)
+    if any(ru) and any(rw):
+        same = canonical_coeffs(ru, p) == canonical_coeffs(rw, p)
+        assert same == (gauss_rank(basis + [u, w], p) == r + 1)

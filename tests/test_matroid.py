@@ -4,9 +4,12 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldbetti import (
     circuits_up_to,
+    essentialize,
     hamming_weights,
     height_of_fold_ideal,
     normalize,
@@ -15,7 +18,8 @@ from foldbetti import (
     tutte_polynomial,
     tutte_shifted_coeffs,
 )
-from foldbetti.matroid import tutte_polynomial_subset_sum
+from foldbetti.forms import canonical_coeffs
+from foldbetti.matroid import _flats, tutte_polynomial_subset_sum
 
 from conftest import gauss_rank, make_random_collection
 
@@ -139,17 +143,134 @@ def test_rank2_flats_needs_rank2():
         rank2_flats(normalize([((1, 0), 3)], 2))
 
 
-def brute_force_max_cols(sigma, q):
-    cols = sigma.expanded_columns()
-    best = 0
-    for size in range(sigma.n, -1, -1):
-        for cand in combinations(range(sigma.n), size):
-            if gauss_rank([cols[i] for i in cand]) <= q:
-                best = size
-                break
-        if best:
-            break
-    return best
+def group_subset_ranks(sigma, p):
+    """Rank over ``p`` of every union of whole groups, keyed by group bit mask."""
+    cols = [form.coeffs for form, _ in sigma.groups]
+    return {
+        mask: gauss_rank([c for g, c in enumerate(cols) if mask >> g & 1], p)
+        for mask in range(1 << sigma.t)
+    }
+
+
+def brute_force_max_cols(sigma, q, ranks=None):
+    """Most expanded columns spanning at most q dimensions, by exhaustion.
+
+    Copies of a group are parallel, so adding the rest of a group never
+    raises the rank and some optimum is a union of whole groups; every
+    union is scanned.
+    """
+    ranks = group_subset_ranks(sigma, sigma.p) if ranks is None else ranks
+    mults = sigma.multiplicities
+    return max(
+        sum(m for g, m in enumerate(mults) if mask >> g & 1)
+        for mask, r in ranks.items()
+        if r <= q
+    )
+
+
+def brute_force_flats(sigma, ranks):
+    """Closed unions of groups, rank by rank, as sets of coefficient tuples.
+
+    A union is closed when adding any other group raises its rank.
+    """
+    t = sigma.t
+    levels = [set() for _ in range(ranks[(1 << t) - 1] + 1)]
+    for mask, r in ranks.items():
+        if all(ranks[mask | 1 << g] > r for g in range(t) if not mask >> g & 1):
+            levels[r].add(frozenset(sigma.groups[g][0].coeffs for g in range(t) if mask >> g & 1))
+    return levels
+
+
+def enumerated_flats(sigma):
+    """The enumerator's levels as sets of coefficient tuples."""
+    forms, levels = _flats(sigma)
+    return [
+        {frozenset(c for i, c in enumerate(forms) if flat >> i & 1) for flat in level}
+        for level in levels
+    ]
+
+
+def check_against_brute_force(sigma):
+    """Every level of flats, rank2_flats and hamming_weights by exhaustion."""
+    ranks = group_subset_ranks(sigma, sigma.p)
+    levels = brute_force_flats(sigma, ranks)
+    assert enumerated_flats(sigma) == levels
+    rank = len(levels) - 1
+    if rank >= 2:
+        index = {form.coeffs: g for g, (form, _) in enumerate(sigma.groups)}
+        mults = sigma.multiplicities
+        expected = sorted(
+            (
+                (tuple(sorted(index[c] for c in flat)), sum(mults[index[c]] for c in flat))
+                for flat in levels[2]
+            ),
+            key=lambda fs: (-fs[1], fs[0]),
+        )
+        assert rank2_flats(sigma) == expected
+    d = hamming_weights(essentialize(sigma)).d
+    assert d == tuple(
+        sigma.n - brute_force_max_cols(sigma, rank - r, ranks) for r in range(1, rank + 1)
+    )
+    return levels, d
+
+
+# k <= 5, 2-9 groups, multiplicities <= 3, coefficients in +-2 so that
+# dependencies are common
+raw_collections = st.integers(1, 5).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(-2, 2)] * k), st.integers(1, 3)),
+            min_size=2,
+            max_size=9,
+        ).filter(lambda raw: any(any(c) for c, _ in raw)),
+    )
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(raw_collections)
+def test_flats_and_hamming_match_brute_force_over_q(collection):
+    k, raw = collection
+    check_against_brute_force(normalize(raw, k))
+
+
+@pytest.mark.parametrize("p", [101, 10007])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(collection=raw_collections)
+def test_flats_and_hamming_match_brute_force_over_gf_p(p, collection):
+    k, raw = collection
+    rational = normalize(raw, k)
+    modular = normalize(raw, k, p)
+    levels, d = check_against_brute_force(modular)
+    # where every subset rank agrees the two matroids are one
+    if group_subset_ranks(rational, None) == group_subset_ranks(rational, p):
+        rational_levels, rational_d = check_against_brute_force(rational)
+        assert d == rational_d
+        assert levels == [
+            {frozenset(canonical_coeffs(c, p) for c in flat) for flat in level}
+            for level in rational_levels
+        ]
+
+
+REGRESSION_K4 = [
+    (-3, -3, 2, 0),
+    (-2, -2, 1, 1),
+    (2, 2, -3, -3),
+    (-2, 0, 0, -3),
+    (-1, 1, -1, 3),
+    (0, -3, 0, -3),
+    (-3, 1, -3, -2),
+]
+
+
+@pytest.mark.parametrize("p", [None, 101, 10007])
+def test_k4_regression_case(p):
+    # seven forms in general position: every triple is its own rank-3 flat
+    sigma = normalize([(c, 1) for c in REGRESSION_K4], 4, p)
+    levels, d = check_against_brute_force(sigma)
+    assert d == (4, 5, 6, 7)
+    assert len(levels[3]) == 35
 
 
 def test_hamming_weights_example(example_2_5):
@@ -166,8 +287,6 @@ def test_hamming_weights_basic():
 
 
 def test_hamming_weights_strictly_increasing(rng):
-    from foldbetti import essentialize
-
     for _ in range(20):
         sigma = essentialize(make_random_collection(rng))
         d = hamming_weights(sigma).d
@@ -188,8 +307,6 @@ def test_heights_example(example_2_5):
 
 
 def test_heights_windows(rng):
-    from foldbetti import essentialize
-
     for _ in range(15):
         sigma = essentialize(make_random_collection(rng))
         d = hamming_weights(sigma).d
