@@ -25,7 +25,6 @@ from .betti import (
 )
 from .forms import (
     FormCollection,
-    LinearForm,
     ReductionData,
     contract,
     delete,

@@ -7,10 +7,16 @@ rank-2, Tutte-based first Betti number with Herzog-Kuhl closure), the
 deletion-contraction recursion that reduces everything to rank 2, a k = 3
 block-elimination variant, and the method dispatcher.
 
+The dispatcher reads its base cases off the generalized Hamming weights
+d_1 < ... < d_k of the collection: they fix the height window of each
+fold, and (n-a)-genericity, on which the Cohen-Macaulay table rests, is
+one comparison against them (see :func:`is_generic`).
+
 Tables are reported with respect to the effective rank: inert variables
 change nothing, so collections are essentialized before computing.  The
-recursion memo is keyed by (canonical collection, fold); concurrent callers
-may duplicate work but always read complete immutable tables.
+recursion memo is keyed by (canonical collection, fold), which is all a
+table depends on; concurrent callers may duplicate work but always read
+complete immutable tables.
 """
 
 from __future__ import annotations
@@ -32,15 +38,18 @@ from .matroid import (
     hamming_weights,
     height_of_fold_ideal,
     rank2_flats,
-    subset_rank,
     tutte_polynomial,
     tutte_shifted_coeffs,
 )
 
 METHODS = ("auto", "recursion", "tutte_hk", "oracle")
 
+# Collections with more forms than this skip the Herzog-Kuhl window in the
+# recursion, which would need their Tutte polynomial, and take a
+# deletion-contraction step instead.
+TUTTE_MAX_N = 16
+
 _recursion_cache = {}
-_generic_cache = {}
 
 
 @dataclass(frozen=True)
@@ -146,9 +155,7 @@ def betti_height1_reduce(sigma: FormCollection, a: int):
     if height_of_fold_ideal(ess, a) != 1:
         raise ValueError("fold %d does not sit in the height-1 window" % a)
     rd = reduction_data(ess, a)
-    raw = []
-    for (form, mult), e_i in zip(ess.groups, rd.e_list):
-        raw.append((form.coeffs, mult - e_i))
+    raw = [(coeffs, mult - e_i) for (coeffs, mult), e_i in zip(ess.groups, rd.e_list)]
     return normalize(raw, ess.k, ess.p), rd.e
 
 
@@ -163,24 +170,16 @@ def betti_nminus1(sigma: FormCollection) -> BettiTable:
 
 
 def is_generic(sigma: FormCollection, h: int) -> bool:
-    """True when every h expanded columns are linearly independent."""
-    key = (sigma, h)
-    hit = _generic_cache.get(key)
-    if hit is not None:
-        return hit
-    n = sigma.n
-    result = True
-    if h > sigma.k or h > n:
-        result = False
-    elif h >= 2 and any(m > 1 for m in sigma.multiplicities):
-        result = False
-    else:
-        for subset in combinations(range(n), h):
-            if subset_rank(sigma, subset) < h:
-                result = False
-                break
-    _generic_cache[key] = result
-    return result
+    """True when every h >= 1 expanded columns are linearly independent.
+
+    A dependent h-set spans a flat of rank at most h - 1 with at least h
+    elements (counted with multiplicity), and any h - 1 columns lie in
+    such a flat, so on the effective rank k genericity is
+    d_{k-h+1} = n - h + 1.  No k + 1 columns are independent.
+    """
+    ess = essentialize(sigma)
+    k, n = ess.k, ess.n
+    return h <= k and hamming_weights(ess).d[k - h] == n - h + 1
 
 
 def betti_cm_generic(sigma: FormCollection, a: int) -> BettiTable:
@@ -294,13 +293,13 @@ def herzog_kuhl_residuals(table: BettiTable, a: int, height: int):
     return tuple(residuals)
 
 
-def betti_recursion(sigma: FormCollection, a: int, tutte_threshold: int = 16) -> BettiTable:
+def betti_recursion(sigma: FormCollection, a: int) -> BettiTable:
     """Full Betti table by deletion-contraction with closed-form base cases.
 
     Dispatch order: trivial fold, essentialize, rank <= 2, maximal power,
     height-1 reduction, a = n, a = n-1, Cohen-Macaulay generic, Herzog-Kuhl
-    window (when the Tutte computation is within the threshold), and only
-    then one deletion-contraction step at the group of largest multiplicity.
+    window (when n <= ``TUTTE_MAX_N``), and only then one
+    deletion-contraction step at the group of largest multiplicity.
     """
     if a < 1:
         raise ValueError("fold must be at least 1")
@@ -309,12 +308,12 @@ def betti_recursion(sigma: FormCollection, a: int, tutte_threshold: int = 16) ->
     hit = _recursion_cache.get(key)
     if hit is not None:
         return hit
-    table = _recursion_dispatch(ess, a, tutte_threshold)
+    table = _recursion_dispatch(ess, a)
     _recursion_cache[key] = table
     return table
 
 
-def _recursion_dispatch(ess, a, tutte_threshold):
+def _recursion_dispatch(ess, a):
     k, n = ess.k, ess.n
     if a > n:
         return _zero_table(a, k)
@@ -325,7 +324,7 @@ def _recursion_dispatch(ess, a, tutte_threshold):
         return betti_maximal_power(k, a)
     if a > d[k - 2] and a < n:
         reduced, e = betti_height1_reduce(ess, a)
-        inner = betti_recursion(reduced, e, tutte_threshold)
+        inner = betti_recursion(reduced, e)
         return BettiTable(a, inner.k, inner.b)
     if a == n:
         return _unit_table(a, k)
@@ -333,14 +332,14 @@ def _recursion_dispatch(ess, a, tutte_threshold):
         return betti_nminus1(ess)
     if a >= n - k + 1 and is_generic(ess, min(n - a + 1, k)):
         return betti_cm_generic(ess, a)
-    if d[0] < a <= d[1] and n <= tutte_threshold:
+    if d[0] < a <= d[1] and n <= TUTTE_MAX_N:
         return betti_from_b1_height_km1(k, a, b1_tutte(ess, a))
     deleted = delete(ess, 0)
     contracted = contract(ess, 0)
-    t_del = betti_recursion(deleted, a - 1, tutte_threshold) if deleted is not None else None
+    t_del = betti_recursion(deleted, a - 1) if deleted is not None else None
     t_con = None
     if contracted is not None and a <= contracted.n:
-        t_con = betti_recursion(contracted, a, tutte_threshold)
+        t_con = betti_recursion(contracted, a)
     b = tuple(
         _entry(t_del, i) + _entry(t_con, i) + _entry(t_con, i - 1)
         for i in range(1, k + 1)
@@ -382,7 +381,7 @@ def betti_k3_block(sigma: FormCollection, a: int) -> BettiTable:
     return BettiTable(a, 3, tuple(acc))
 
 
-def compute_betti(sigma: FormCollection, a: int, method: str = "auto", tutte_threshold: int = 16) -> BettiTable:
+def compute_betti(sigma: FormCollection, a: int, method: str = "auto") -> BettiTable:
     """Betti table by the requested method.
 
     ``auto`` dispatches the recursion and accepts a > n (zero table);
@@ -395,11 +394,11 @@ def compute_betti(sigma: FormCollection, a: int, method: str = "auto", tutte_thr
     if a < 1:
         raise ValueError("fold must be at least 1")
     if method == "auto":
-        return betti_recursion(sigma, a, tutte_threshold)
+        return betti_recursion(sigma, a)
     if a > sigma.n:
         raise ValueError("fold %d exceeds n = %d" % (a, sigma.n))
     if method == "recursion":
-        return betti_recursion(sigma, a, tutte_threshold)
+        return betti_recursion(sigma, a)
     if method == "oracle":
         from .oracle import betti_from_hilbert
 

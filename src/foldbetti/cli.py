@@ -156,16 +156,21 @@ class RunReport:
         return render_text(self.data)
 
 
-def _resolve_folds(folds, n, allow_trivial):
+def _resolve_folds(command, folds, n, allow_trivial):
+    """The requested folds, all of 1..n by default.
+
+    Only ``betti`` and ``verify`` take a fold a > n (the zero ideal), and
+    only with ``allow_trivial``.
+    """
     if folds is None:
         return list(range(1, n + 1))
+    takes_trivial = command in ("betti", "verify")
     for a in folds:
         if a < 1:
             raise CommandError("fold %d must be at least 1" % a)
-        if a > n and not allow_trivial:
-            raise CommandError(
-                "fold %d exceeds n = %d; pass --allow-trivial for the zero ideal" % (a, n)
-            )
+        if a > n and not (takes_trivial and allow_trivial):
+            hint = "; pass --allow-trivial for the zero ideal" if takes_trivial else ""
+            raise CommandError("fold %d exceeds n = %d%s" % (a, n, hint))
     return list(folds)
 
 
@@ -175,7 +180,6 @@ def run(
     folds=None,
     method: str = "auto",
     degrees=None,
-    tutte_threshold: int = 16,
     allow_trivial: bool = False,
 ) -> RunReport:
     """Execute one CLI command against a parsed instance."""
@@ -197,11 +201,11 @@ def run(
     ok = True
 
     if command == "betti":
-        folds = _resolve_folds(folds, n, allow_trivial)
+        folds = _resolve_folds(command, folds, n, allow_trivial)
         results = []
         for a in folds:
             use = "auto" if a > n else method
-            table = compute_betti(sigma, a, use, tutte_threshold)
+            table = compute_betti(sigma, a, use)
             results.append({"a": a, "methods": {method: table.to_json_dict()}})
         data["results"] = results
     elif command == "tutte":
@@ -216,24 +220,26 @@ def run(
     elif command == "hamming":
         data["hamming"] = list(hamming_weights(ess).d)
     elif command == "height":
-        folds = _resolve_folds(folds, n, False)
+        folds = _resolve_folds(command, folds, n, allow_trivial)
         data["heights"] = {str(a): height_of_fold_ideal(sigma, a) for a in folds}
     elif command == "hilbert":
         if not folds or len(folds) != 1:
             raise CommandError("hilbert needs exactly one fold (--fold A)")
-        a = _resolve_folds(folds, n, False)[0]
+        a = _resolve_folds(command, folds, n, allow_trivial)[0]
         if degrees is None:
             degrees = range(a, a + sigma.k)
+        if not degrees:
+            raise CommandError("the degree range is empty")
         bad = [d for d in degrees if d < a]
         if bad:
             raise CommandError("degree %d is below the fold %d" % (bad[0], a))
         data["hilbert"] = hf_report(sigma, a, degrees).to_json_dict()
     elif command == "verify":
-        folds = _resolve_folds(folds, n, allow_trivial)
+        folds = _resolve_folds(command, folds, n, allow_trivial)
         data["hamming"] = list(hamming_weights(ess).d)
         results = []
         for a in folds:
-            entry, agree = _verify_fold(sigma, ess, a, n, tutte_threshold)
+            entry, agree = _verify_fold(sigma, ess, a, n)
             results.append(entry)
             ok = ok and agree
         data["results"] = results
@@ -242,18 +248,18 @@ def run(
     return RunReport(data, ok)
 
 
-def _verify_fold(sigma, ess, a, n, tutte_threshold):
+def _verify_fold(sigma, ess, a, n):
     methods = {}
     if a > n:
-        table = compute_betti(sigma, a, "auto", tutte_threshold)
+        table = compute_betti(sigma, a, "auto")
         methods["recursion"] = table.to_json_dict()
         entry = {"a": a, "methods": methods, "verdict": "agree"}
         return entry, True
-    reference = compute_betti(sigma, a, "recursion", tutte_threshold)
+    reference = compute_betti(sigma, a, "recursion")
     methods["recursion"] = reference.to_json_dict()
     disagreements = []
     try:
-        t = compute_betti(sigma, a, "tutte_hk", tutte_threshold)
+        t = compute_betti(sigma, a, "tutte_hk")
         methods["tutte_hk"] = t.to_json_dict()
         if t != reference:
             disagreements.append("tutte_hk")
@@ -366,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["betti", "tutte", "hamming", "height", "hilbert", "verify"],
     )
     parser.add_argument("--input", required=True, help="instance JSON file")
-    parser.add_argument("--fold", type=int, help="single fold a")
-    parser.add_argument("--all-folds", action="store_true", help="run every a = 1..n")
+    folds = parser.add_mutually_exclusive_group()
+    folds.add_argument("--fold", type=int, help="single fold a")
+    folds.add_argument("--all-folds", action="store_true", help="run every a = 1..n")
     parser.add_argument("--method", choices=list(METHODS), default="auto")
     parser.add_argument("--degrees", help="degree range D1..D2 (hilbert only)")
     parser.add_argument("--json", dest="as_json", action="store_true", help="machine output")
-    parser.add_argument("--tutte-threshold", type=int, default=16)
     parser.add_argument(
         "--allow-trivial", action="store_true", help="accept folds a > n (zero ideal)"
     )
@@ -397,7 +403,6 @@ def main(argv=None) -> int:
             folds=folds,
             method=args.method,
             degrees=degrees,
-            tutte_threshold=args.tutte_threshold,
             allow_trivial=args.allow_trivial,
         )
     except (InstanceError, CommandError, ValueError, OracleLimitError) as exc:

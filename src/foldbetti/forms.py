@@ -8,10 +8,11 @@ over GF(p) it holds residues in [0, p) and its first nonzero entry is 1.
 :func:`normalize` is the one place where input (ints or ``Fraction``s) is
 brought to that scale; everything downstream is integer arithmetic.
 
-A collection keeps pairwise non-proportional forms, each with a positive
-multiplicity, sorted by multiplicity descending then coefficients.  Equal
-inputs therefore always build the identical object, which is what the
-memoized recursions key on.
+A collection's ``groups`` are ``(coeffs, mult)`` pairs: pairwise
+non-proportional forms, each with a positive multiplicity, sorted by
+multiplicity descending then coefficients.  The collection checks the
+canonical scale of every form on construction, so equal inputs always
+build the identical object, which is what the memoized recursions key on.
 
 Deletion removes one copy of a form.  Contraction reduces every other form
 modulo a chosen form and drops one ambient variable; the chosen form's own
@@ -60,39 +61,11 @@ def canonical_coeffs(coeffs, p=None):
 
 
 @dataclass(frozen=True)
-class LinearForm:
-    """A nonzero linear form: a primitive int vector, first nonzero positive.
-
-    A GF(p) form in its canonical scale (first nonzero entry 1) is of this
-    shape too; the collection checks the residue range.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        canon = canonical_coeffs(self.coeffs)
-        if canon is None:
-            raise ValueError("zero form cannot live in a collection")
-        if canon != self.coeffs:
-            raise ValueError("form is not canonically scaled: %r" % (self.coeffs,))
-
-    @classmethod
-    def make(cls, coeffs, p=None):
-        canon = canonical_coeffs(coeffs, p)
-        if canon is None:
-            raise ValueError("zero form cannot live in a collection")
-        return cls(canon)
-
-    @property
-    def k(self):
-        return len(self.coeffs)
-
-
-@dataclass(frozen=True)
 class FormCollection:
-    """The multiset of linear forms: groups of (form, multiplicity).
+    """The multiset of linear forms: groups of (coeffs, multiplicity).
 
-    ``p`` is the field: None for the rationals, otherwise a prime.
+    ``p`` is the field: None for the rationals, otherwise a prime.  Every
+    form must already be in its canonical scale over that field.
     """
 
     k: int
@@ -102,17 +75,21 @@ class FormCollection:
     def __post_init__(self):
         if not self.groups:
             raise ValueError("empty collection")
-        for form, mult in self.groups:
-            if form.k != self.k:
-                raise ValueError("form %r has %d coefficients, ambient is %d" % (form.coeffs, form.k, self.k))
+        field = "" if self.p is None else " GF(%d)" % self.p
+        for coeffs, mult in self.groups:
+            if len(coeffs) != self.k:
+                raise ValueError("form %r has %d coefficients, ambient is %d" % (coeffs, len(coeffs), self.k))
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
-            if self.p is not None and canonical_coeffs(form.coeffs, self.p) != form.coeffs:
-                raise ValueError("form %r is not a canonical GF(%d) form" % (form.coeffs, self.p))
-        keys = [_sort_key(form, mult) for form, mult in self.groups]
+            canon = canonical_coeffs(coeffs, self.p)
+            if canon is None:
+                raise ValueError("zero form cannot live in a collection")
+            if canon != coeffs:
+                raise ValueError("form %r is not a canonical%s form" % (coeffs, field))
+        keys = [_sort_key(coeffs, mult) for coeffs, mult in self.groups]
         if keys != sorted(keys):
             raise ValueError("groups are not in canonical order")
-        if len({form for form, _ in self.groups}) != len(self.groups):
+        if len({coeffs for coeffs, _ in self.groups}) != len(self.groups):
             raise ValueError("proportional groups were not merged")
 
     @property
@@ -130,8 +107,8 @@ class FormCollection:
     def expanded_columns(self):
         """Coefficient tuples, one per copy, in group order."""
         cols = []
-        for form, mult in self.groups:
-            cols.extend([form.coeffs] * mult)
+        for coeffs, mult in self.groups:
+            cols.extend([coeffs] * mult)
         return cols
 
 
@@ -143,8 +120,8 @@ class ReductionData:
     e: int
 
 
-def _sort_key(form, mult):
-    return (-mult, form.coeffs)
+def _sort_key(coeffs, mult):
+    return (-mult, coeffs)
 
 
 def normalize(raw_forms, k: int, p=None) -> FormCollection:
@@ -165,18 +142,17 @@ def normalize(raw_forms, k: int, p=None) -> FormCollection:
         merged[canon] = merged.get(canon, 0) + mult
     if not merged:
         raise ValueError("empty collection")
-    groups = sorted(((LinearForm(c), m) for c, m in merged.items()), key=lambda g: _sort_key(*g))
-    return FormCollection(k, tuple(groups), p)
+    return FormCollection(k, tuple(sorted(merged.items(), key=lambda g: _sort_key(*g))), p)
 
 
 def delete(sigma: FormCollection, group_index: int):
     """Remove one copy of the chosen group; None once nothing is left."""
     raw = []
-    for i, (form, mult) in enumerate(sigma.groups):
+    for i, (coeffs, mult) in enumerate(sigma.groups):
         if i == group_index:
             mult -= 1
         if mult > 0:
-            raw.append((form.coeffs, mult))
+            raw.append((coeffs, mult))
     if not raw:
         return None
     return normalize(raw, sigma.k, sigma.p)
@@ -199,13 +175,12 @@ def contract(sigma: FormCollection, group_index: int):
     Every image is nonzero, because no other group is proportional to the
     chosen one, so the result holds n minus the chosen multiplicity forms.
     """
-    ell = sigma.groups[group_index][0].coeffs
+    ell = sigma.groups[group_index][0]
     j = next(i for i, x in enumerate(ell) if x != 0)
     lj = ell[j]
     images = []
-    for gi, (form, mult) in enumerate(sigma.groups):
+    for gi, (f, mult) in enumerate(sigma.groups):
         if gi != group_index:
-            f = form.coeffs
             fj = f[j]
             images.append(([lj * f[i] - fj * ell[i] for i in range(len(f)) if i != j], mult))
     if not images:
@@ -223,12 +198,12 @@ def essentialize(sigma: FormCollection) -> FormCollection:
     columns of any echelon form of the coefficient matrix's transpose.
     """
     ech = IntEchelon(sigma.k, sigma.p)
-    for form, _ in sigma.groups:
-        ech.add(form.coeffs)
+    for coeffs, _ in sigma.groups:
+        ech.add(coeffs)
         if ech.is_full():
             return sigma
     pivots = sorted(ech.pivot_rows)
-    raw = [(tuple(form.coeffs[c] for c in pivots), mult) for form, mult in sigma.groups]
+    raw = [(tuple(coeffs[c] for c in pivots), mult) for coeffs, mult in sigma.groups]
     return normalize(raw, len(pivots), sigma.p)
 
 

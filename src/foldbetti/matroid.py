@@ -34,16 +34,12 @@ _flats_cache = {}
 _tutte_cache = {}
 
 
-def _group_columns(sigma):
-    """One coefficient tuple per group: enough for ranks of closures."""
-    return [form.coeffs for form, _ in sigma.groups]
-
-
 def full_rank(sigma: FormCollection) -> int:
     """Rank of the whole coefficient matrix (the effective rank)."""
     r = _full_rank_cache.get(sigma)
     if r is None:
-        r = bareiss_rank(_group_columns(sigma), sigma.p)
+        # one form per group: copies never raise the rank
+        r = bareiss_rank([coeffs for coeffs, _ in sigma.groups], sigma.p)
         _full_rank_cache[sigma] = r
     return r
 
@@ -90,7 +86,7 @@ def _flats(sigma):
     reducing it against the one new residue gives the residue modulo the
     cover.  The top level is every form.
     """
-    forms = tuple(sorted(form.coeffs for form, _ in sigma.groups))
+    forms = tuple(sorted(coeffs for coeffs, _ in sigma.groups))
     key = (forms, sigma.p)
     cached = _flats_cache.get(key)
     if cached is not None:
@@ -128,7 +124,7 @@ def _flats(sigma):
 
 def _multiplicity_layers(sigma, forms):
     """Masks over ``forms``; layer j holds the forms of multiplicity above j."""
-    mult_of = {form.coeffs: m for form, m in sigma.groups}
+    mult_of = dict(sigma.groups)
     return [
         sum(1 << i for i, coeffs in enumerate(forms) if mult_of[coeffs] > j)
         for j in range(max(mult_of.values()))
@@ -153,7 +149,7 @@ def rank2_flats(sigma: FormCollection):
     if full_rank(sigma) < 2:
         raise ValueError("effective rank must be at least 2")
     forms, levels = _flats(sigma)
-    group_of = {form.coeffs: g for g, (form, _) in enumerate(sigma.groups)}
+    group_of = {coeffs: g for g, (coeffs, _) in enumerate(sigma.groups)}
     sizes = _sizes(levels[2], _multiplicity_layers(sigma, forms))
     sized = [
         (tuple(sorted(group_of[c] for i, c in enumerate(forms) if flat >> i & 1)), size)

@@ -1,11 +1,12 @@
-"""Shared fixtures: the worked examples as collections, random generators,
-the naive reference eliminator, and a terminal-summary hook that prints one
-line per acceptance criterion."""
+"""Shared fixtures: the worked examples as collections, random generators
+(a Hypothesis strategy among them), the naive reference eliminator, and a
+terminal-summary hook that prints one line per acceptance criterion."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from foldbetti import normalize
 
@@ -110,12 +111,26 @@ def make_random_arrangement(rng, n, k=3, coeff_bound=3, require_rank=3):
             continue
         if sigma.t < n:
             continue
-        picked = [(form.coeffs, 1) for form, _ in rng.sample(list(sigma.groups), n)]
+        picked = [(coeffs, 1) for coeffs, _ in rng.sample(list(sigma.groups), n)]
         candidate = normalize(picked, k)
         from foldbetti.matroid import full_rank
 
         if candidate.t == n and full_rank(candidate) == require_rank:
             return candidate
+
+
+# k <= 5, 2-9 groups, multiplicities <= 3, coefficients in +-2 so that
+# dependencies are common
+raw_collections = st.integers(1, 5).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(-2, 2)] * k), st.integers(1, 3)),
+            min_size=2,
+            max_size=9,
+        ).filter(lambda raw: any(any(c) for c, _ in raw)),
+    )
+)
 
 
 @pytest.fixture

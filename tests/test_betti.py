@@ -5,6 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from foldbetti import (
     BettiTable,
@@ -31,7 +32,9 @@ from foldbetti import (
     rank2_flats,
 )
 
-from conftest import make_random_collection
+from foldbetti.betti import is_generic
+
+from conftest import gauss_rank, make_random_collection, raw_collections
 
 
 def count_capped_monomials(caps, a):
@@ -111,7 +114,7 @@ def test_height1_reduce_example(example_2_5):
 def test_height1_reduce_small(example_4_3):
     reduced, e = betti_height1_reduce(example_4_3, 4)
     assert e == 1
-    assert [(tuple(f.coeffs), m) for f, m in reduced.groups] == [((0, 1), 1), ((1, 0), 1)]
+    assert reduced.groups == (((0, 1), 1), ((1, 0), 1))
     outer = betti_recursion(example_4_3, 4)
     inner = betti_recursion(reduced, 1)
     assert (outer.k, outer.b) == (inner.k, inner.b)
@@ -162,6 +165,32 @@ def test_cm_generic_tables():
 def test_cm_generic_rejects_nongeneric(example_2_5):
     with pytest.raises(ValueError, match="generic"):
         betti_cm_generic(example_2_5, 5)
+
+
+def brute_force_generic(sigma, h):
+    """Every h expanded columns independent, by scanning the h-subsets.
+
+    The scan stops at the first dependent subset.  That is the first one
+    whenever group 0 has two copies or h exceeds the rank, so only simple
+    collections (at most nine columns) are scanned far.
+    """
+    cols = sigma.expanded_columns()
+    return h <= sigma.n and all(
+        gauss_rank([cols[i] for i in subset], sigma.p) == h
+        for subset in combinations(range(sigma.n), h)
+    )
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(collection=raw_collections)
+def test_is_generic_matches_subset_scan(p, collection):
+    k, raw = collection
+    # genericity above h = 1 needs multiplicity 1, so the simple version
+    # of the collection is checked too
+    for sigma in (normalize(raw, k, p), normalize([(c, 1) for c, _ in raw], k, p)):
+        for h in range(1, sigma.n + 2):
+            assert is_generic(sigma, h) == brute_force_generic(sigma, h), (sigma, h)
 
 
 def test_nminus2_arrangement_generic():
@@ -230,7 +259,7 @@ def test_singular_line_arrangement(example_3_6):
 
 def test_singular_line_arrangement_replacement(example_3_6):
     # swap the last line for one through neither 4-fold point
-    raw = [(f.coeffs, m) for f, m in example_3_6.groups if tuple(f.coeffs) != (1, 1, -2)]
+    raw = [(c, m) for c, m in example_3_6.groups if c != (1, 1, -2)]
     raw.append(((0, 1, -1), 1))
     replaced = normalize(raw, 3)
     assert b1_singular_line_arrangement(replaced) == 19
@@ -314,7 +343,7 @@ def test_tutte_hk_window_error():
 
 def test_scaling_leaves_tables_unchanged(example_2_5):
     scaled = normalize(
-        [(tuple(Fraction(-7, 3) * c for c in f.coeffs), m) for f, m in example_2_5.groups], 3
+        [(tuple(Fraction(-7, 3) * x for x in c), m) for c, m in example_2_5.groups], 3
     )
     assert scaled == example_2_5
     for a in (2, 4, 6):
@@ -348,15 +377,18 @@ def test_b1_equals_hilbert_function(rng):
             assert betti_recursion(sigma, a).b[0] == hilbert_function(sigma, a, a)
 
 
-def test_tutte_threshold_changes_no_output(rng):
+def test_tutte_threshold_changes_no_output(rng, monkeypatch):
     import foldbetti.betti as betti_mod
 
     for _ in range(10):
         sigma = make_random_collection(rng)
         betti_mod._recursion_cache.clear()
-        with_window = [compute_betti(sigma, a, "auto", tutte_threshold=16) for a in range(1, sigma.n + 1)]
+        with_window = [compute_betti(sigma, a, "auto") for a in range(1, sigma.n + 1)]
         betti_mod._recursion_cache.clear()
-        pure_recursion = [compute_betti(sigma, a, "auto", tutte_threshold=0) for a in range(1, sigma.n + 1)]
+        with monkeypatch.context() as m:
+            m.setattr(betti_mod, "TUTTE_MAX_N", 0)
+            pure_recursion = [compute_betti(sigma, a, "auto") for a in range(1, sigma.n + 1)]
+        betti_mod._recursion_cache.clear()
         assert with_window == pure_recursion
 
 

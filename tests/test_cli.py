@@ -199,6 +199,26 @@ def test_main_fold_beyond_n(tmp_path, capsys):
     assert main(["betti", "--input", path, "--fold", "9", "--allow-trivial"]) == 0
 
 
+def test_fold_and_all_folds_are_exclusive(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--input", path, "--fold", "3", "--all-folds"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("command", ["height", "hilbert"])
+def test_allow_trivial_is_named_only_where_it_applies(tmp_path, capsys, command):
+    # height and hilbert never take a fold a > n, flag or no flag
+    path = write_instance(tmp_path)
+    assert main([command, "--input", path, "--fold", "9", "--allow-trivial"]) == 1
+    err = capsys.readouterr().err
+    assert "fold 9 exceeds n = 7" in err
+    assert "--allow-trivial" not in err
+
+
 def test_main_text_output(tmp_path, capsys):
     path = write_instance(tmp_path)
     assert main(["betti", "--input", path, "--fold", "4", "--method", "oracle"]) == 0
@@ -220,6 +240,14 @@ def test_main_hilbert_degrees(tmp_path, capsys):
     assert "HF(I_3, 5)" in out
 
 
+def test_main_hilbert_empty_degree_range(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    assert main(["hilbert", "--input", path, "--fold", "2", "--degrees", "5..3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree range is empty" in captured.err
+
+
 def test_parser_choices():
     parser = build_parser()
     with pytest.raises(SystemExit):
@@ -238,13 +266,6 @@ def test_rational_wire_format_round_trips():
     assert echoed["forms"][0]["coeffs"] == ["-1/2", "3"]
     assert echoed["forms"][1]["coeffs"] == ["1/2", "0"]
     assert parse_instance(json.dumps(echoed)) == inst
-
-
-def test_tutte_threshold_option(tmp_path, capsys):
-    path = write_instance(tmp_path)
-    assert main(["betti", "--input", path, "--fold", "4", "--tutte-threshold", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "[14, 22, 9]" in out
 
 
 def test_verify_with_oracle_guardrail_gives_partial_report(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldbetti.exactlin import IntEchelon, SparseIntEchelon, bareiss_rank
-from foldbetti.forms import FormCollection, LinearForm, canonical_coeffs, normalize
+from foldbetti.forms import FormCollection, canonical_coeffs, normalize
 from foldbetti.oracle import circuit_dependency
 
 from conftest import gauss_rank
@@ -131,7 +131,7 @@ def test_exact_rational_arithmetic_is_bitwise():
 
 def test_entries_grid_validated():
     with pytest.raises(ValueError, match="ambient is 3"):
-        FormCollection(3, ((LinearForm((1, 0)), 1),))
+        FormCollection(3, (((1, 0), 1),))
 
 
 def test_prime_field_rank_and_kernel():

@@ -13,18 +13,14 @@ from foldbetti import (
     reduction_data,
     subset_rank,
 )
-from foldbetti.forms import FormCollection, LinearForm
+from foldbetti.forms import FormCollection, canonical_coeffs
 
 from conftest import gauss_rank, make_random_collection
 
 
-def groups_of(sigma):
-    return [(tuple(f.coeffs), m) for f, m in sigma.groups]
-
-
 def test_normalize_merges_proportional():
     sigma = normalize([((2, 0, 0), 1), ((1, 0, 0), 1), ((0, 3, 0), 1)], 3)
-    assert groups_of(sigma) == [((1, 0, 0), 2), ((0, 1, 0), 1)]
+    assert sigma.groups == (((1, 0, 0), 2), ((0, 1, 0), 1))
 
 
 def test_normalize_example_collection(example_2_5):
@@ -56,32 +52,32 @@ def test_normalize_rejects_all_zero():
 def test_normalize_idempotent(rng):
     for _ in range(25):
         sigma = make_random_collection(rng)
-        again = normalize([(f.coeffs, m) for f, m in sigma.groups], sigma.k)
+        again = normalize(sigma.groups, sigma.k)
         assert again == sigma
 
 
 def test_linear_form_must_be_canonical():
     # over Q: a primitive integer vector whose first nonzero entry is positive
-    with pytest.raises(ValueError):
-        LinearForm((2, 0))
-    with pytest.raises(ValueError):
-        LinearForm((0, -1))
-    with pytest.raises(ValueError):
-        LinearForm((0, 0))
-    assert LinearForm.make((4, 2)).coeffs == (2, 1)
-    assert LinearForm.make((0, -4, 6)).coeffs == (0, 2, -3)
-    assert LinearForm.make((Fraction(-1, 2), Fraction(1, 3))).coeffs == (3, -2)
+    with pytest.raises(ValueError, match="not a canonical form"):
+        FormCollection(2, (((2, 0), 1),))
+    with pytest.raises(ValueError, match="not a canonical form"):
+        FormCollection(2, (((0, -1), 1),))
+    with pytest.raises(ValueError, match="zero form"):
+        FormCollection(2, (((0, 0), 1),))
+    assert canonical_coeffs((4, 2)) == (2, 1)
+    assert canonical_coeffs((0, -4, 6)) == (0, 2, -3)
+    assert canonical_coeffs((Fraction(-1, 2), Fraction(1, 3))) == (3, -2)
     # over GF(p): residues in [0, p) with first nonzero entry 1
-    assert LinearForm.make((2, 3), 7).coeffs == (1, 5)
-    assert LinearForm.make((0, -1), 7).coeffs == (0, 1)
+    assert canonical_coeffs((2, 3), 7) == (1, 5)
+    assert canonical_coeffs((0, -1), 7) == (0, 1)
     with pytest.raises(ValueError, match="GF\\(7\\)"):
-        FormCollection(2, ((LinearForm((1, 9)), 1),), 7)
+        FormCollection(2, (((1, 9), 1),), 7)
 
 
 def test_normalize_prime_field_merges_mod_p():
     sigma = normalize([((1, 4), 1), ((1, 1), 1), ((2, -1), 1), ((0, 1), 1)], 2, 3)
     assert sigma.p == 3
-    assert groups_of(sigma) == [((1, 1), 3), ((0, 1), 1)]
+    assert sigma.groups == (((1, 1), 3), ((0, 1), 1))
     assert normalize([((1, 4), 1), ((1, 1), 1)], 2).t == 2
 
 
@@ -89,7 +85,7 @@ def test_delete_example(example_2_5):
     # group 0 is x1 (multiplicity 2)
     sigma = delete(example_2_5, 0)
     assert sigma.n == 6
-    assert ((1, 0, 0), 1) in groups_of(sigma)
+    assert ((1, 0, 0), 1) in sigma.groups
 
 
 def test_delete_to_empty():
@@ -99,7 +95,7 @@ def test_delete_to_empty():
 
 def test_delete_chain_example(example_2_5):
     sigma_p = delete(example_2_5, 0)
-    x3 = next(i for i, (f, _) in enumerate(sigma_p.groups) if tuple(f.coeffs) == (0, 0, 1))
+    x3 = next(i for i, (c, _) in enumerate(sigma_p.groups) if c == (0, 0, 1))
     sigma_pp = delete(sigma_p, x3)
     assert sigma_pp.n == 5
     assert sigma_pp.t == 5
@@ -116,7 +112,7 @@ def test_contract_example_at_x1(example_2_5):
 
 def test_contract_example_at_x3(example_2_5):
     sigma_p = delete(example_2_5, 0)
-    x3 = next(i for i, (f, _) in enumerate(sigma_p.groups) if tuple(f.coeffs) == (0, 0, 1))
+    x3 = next(i for i, (c, _) in enumerate(sigma_p.groups) if c == (0, 0, 1))
     result = contract(sigma_p, x3)
     assert result.n == sigma_p.n - 1
     expected = normalize([((1, 0), 2), ((0, 1), 2), ((1, 2), 1)], 2)
@@ -153,7 +149,7 @@ def test_essentialize_rank1():
     sigma = normalize([((1, 1, 0), 1), ((2, 2, 0), 1)], 3)
     ess = essentialize(sigma)
     assert ess.k == 1
-    assert groups_of(ess) == [((1,), 2)]
+    assert ess.groups == (((1,), 2),)
 
 
 def test_essentialize_full_rank_is_identity(example_2_5):
@@ -233,7 +229,5 @@ def test_coefficient_matrix_single_form():
 
 
 def test_collection_validates_order():
-    f1 = LinearForm.make((1, 0))
-    f2 = LinearForm.make((0, 1))
-    with pytest.raises(ValueError):
-        FormCollection(2, ((f2, 1), (f1, 2)))
+    with pytest.raises(ValueError, match="canonical order"):
+        FormCollection(2, (((0, 1), 1), ((1, 0), 2)))

@@ -5,7 +5,6 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from foldbetti import (
     circuits_up_to,
@@ -21,7 +20,7 @@ from foldbetti import (
 from foldbetti.forms import canonical_coeffs
 from foldbetti.matroid import _flats, tutte_polynomial_subset_sum
 
-from conftest import gauss_rank, make_random_collection
+from conftest import gauss_rank, make_random_collection, raw_collections
 
 # the shifted polynomial y^4+x^3+x^2y+xy^2+3y^3+6x^2+6xy+6y^2+13x+9y+8
 SHIFTED_2_5 = {
@@ -145,7 +144,7 @@ def test_rank2_flats_needs_rank2():
 
 def group_subset_ranks(sigma, p):
     """Rank over ``p`` of every union of whole groups, keyed by group bit mask."""
-    cols = [form.coeffs for form, _ in sigma.groups]
+    cols = [coeffs for coeffs, _ in sigma.groups]
     return {
         mask: gauss_rank([c for g, c in enumerate(cols) if mask >> g & 1], p)
         for mask in range(1 << sigma.t)
@@ -177,7 +176,7 @@ def brute_force_flats(sigma, ranks):
     levels = [set() for _ in range(ranks[(1 << t) - 1] + 1)]
     for mask, r in ranks.items():
         if all(ranks[mask | 1 << g] > r for g in range(t) if not mask >> g & 1):
-            levels[r].add(frozenset(sigma.groups[g][0].coeffs for g in range(t) if mask >> g & 1))
+            levels[r].add(frozenset(sigma.groups[g][0] for g in range(t) if mask >> g & 1))
     return levels
 
 
@@ -197,7 +196,7 @@ def check_against_brute_force(sigma):
     assert enumerated_flats(sigma) == levels
     rank = len(levels) - 1
     if rank >= 2:
-        index = {form.coeffs: g for g, (form, _) in enumerate(sigma.groups)}
+        index = {coeffs: g for g, (coeffs, _) in enumerate(sigma.groups)}
         mults = sigma.multiplicities
         expected = sorted(
             (
@@ -212,20 +211,6 @@ def check_against_brute_force(sigma):
         sigma.n - brute_force_max_cols(sigma, rank - r, ranks) for r in range(1, rank + 1)
     )
     return levels, d
-
-
-# k <= 5, 2-9 groups, multiplicities <= 3, coefficients in +-2 so that
-# dependencies are common
-raw_collections = st.integers(1, 5).flatmap(
-    lambda k: st.tuples(
-        st.just(k),
-        st.lists(
-            st.tuples(st.tuples(*[st.integers(-2, 2)] * k), st.integers(1, 3)),
-            min_size=2,
-            max_size=9,
-        ).filter(lambda raw: any(any(c) for c, _ in raw)),
-    )
-)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
