@@ -355,11 +355,13 @@ def render_text(data) -> str:
 
 
 def _parse_degrees(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    d = int(text)
-    return range(d, d + 1)
+    parts = text.split("..")
+    try:
+        if len(parts) <= 2:
+            return range(int(parts[0]), int(parts[-1]) + 1)
+    except ValueError:
+        pass
+    raise CommandError("--degrees must be D or D1..D2 with integer D, got %r" % text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,8 +397,15 @@ def main(argv=None) -> int:
     try:
         _cell_limit()  # reject a bad FOLDBETTI_ORACLE_CELL_LIMIT whatever the command
         instance = parse_instance(text)
+        # an option the command would silently ignore is an error
+        given = {"--fold": args.fold is not None, "--all-folds": args.all_folds,
+                 "--degrees": args.degrees is not None}
+        takes = {"tutte": (), "hamming": (), "hilbert": ("--fold", "--all-folds", "--degrees")}
+        for option in (o for o, on in given.items() if on):
+            if option not in takes.get(args.command, ("--fold", "--all-folds")):
+                raise CommandError("%s does not take %s" % (args.command, option))
         folds = [args.fold] if args.fold is not None else None
-        degrees = _parse_degrees(args.degrees) if args.degrees else None
+        degrees = _parse_degrees(args.degrees) if args.degrees is not None else None
         report = run(
             args.command,
             instance,

@@ -13,9 +13,11 @@ that every trace is deterministic:
 
 - :func:`bareiss_rank` for the many small one-shot ranks of the matroid
   layer;
-- :class:`IntEchelon` for dense rows added one at a time (the Hilbert
-  oracle, which stops at full column rank, and circuit dependencies), and
-  for residues modulo a span (the matroid layer's flat enumerator);
+- :class:`IntEchelon` for dense rows added one at a time, and for residues
+  modulo a span (the matroid layer's flat enumerator).  The Hilbert oracle
+  keeps one per degree: it reads the stored ``pivot_rows`` of degree d,
+  shifts each by x_1..x_k into a fresh one for degree d + 1, and stops at
+  full column rank; circuit dependencies read the pivot rows too;
 - :class:`SparseIntEchelon` for sparse rows (the circuit-relation space).
 
 Everything here is a pure function of its inputs or owned by the caller, so

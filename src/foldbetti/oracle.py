@@ -6,6 +6,11 @@ first Betti number via the rank of the circuit-relation space.  Both reduce
 to integer matrix ranks, so they share the elimination engines but none of
 the combinatorial shortcuts they are meant to verify.
 
+The Hilbert function climbs the chain I_{d+1} = S_1 * I_d, as in the
+Macaulay-matrix step of Lazard (1983) and Faugere's F4 (1999): each degree
+echelonizes x_1..x_k times the echelon basis of the degree below.  Once a
+degree is full, every later one is, and its value is dim S_d.
+
 These are verifiers, not production paths: desk-scale guardrails refuse
 instances whose matrices would not fit a quick exact computation.
 """
@@ -76,65 +81,70 @@ def _poly_mul_linear(poly, form, p):
 def fold_generators(sigma: FormCollection, a: int):
     """All C(n, a) fold products, expanded in the degree-a monomial basis.
 
-    Coefficients are ints (residues mod p over GF(p)).  Repeated forms
-    give repeated polynomials; callers that only need ranks deduplicate
-    afterwards.
+    They come in ``combinations`` order, built depth first so that each
+    prefix product is computed once.  Coefficients are ints (residues mod p
+    over GF(p)).  Repeated forms give repeated polynomials; callers that
+    only need ranks deduplicate afterwards.
     """
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
-    cols = sigma.expanded_columns()
-    k = sigma.k
-    out = []
-    for subset in combinations(range(sigma.n), a):
-        poly = {(0,) * k: 1}
-        for j in subset:
-            poly = _poly_mul_linear(poly, cols[j], sigma.p)
-        out.append(poly)
+    cols, n, out = sigma.expanded_columns(), sigma.n, []
+
+    def extend(poly, start, left):
+        if left == 0:
+            out.append(poly)
+            return
+        for j in range(start, n - left + 1):
+            extend(_poly_mul_linear(poly, cols[j], sigma.p), j + 1, left - 1)
+
+    extend({(0,) * sigma.k: 1}, 0, a)
     return out
 
 
-def _dedup_polys(polys):
-    seen = set()
-    unique = []
-    for poly in polys:
-        key = tuple(sorted(poly.items()))
-        if key not in seen:
-            seen.add(key)
-            unique.append(poly)
-    return unique
+def _check_cells(sigma: FormCollection, a: int, d: int):
+    """Refuse degree d when the plain generator-times-monomial matrix would
+    exceed the cell limit (a conservative size for the incremental chain)."""
+    rows = comb(sigma.n, a) * len(monomial_basis(sigma.k, d - a))
+    cols = len(monomial_basis(sigma.k, d))
+    if rows * cols > _cell_limit():
+        raise OracleLimitError(
+            "Hilbert matrix would have %d x %d cells; limit is %d" % (rows, cols, _cell_limit())
+        )
 
 
 def hilbert_function(sigma: FormCollection, a: int, d: int) -> int:
-    """dim of the degree-d piece of the fold ideal, by explicit row ranks.
+    """dim of the degree-d piece of the fold ideal, by exact row ranks.
 
-    Rows are generator-times-monomial products expressed in the fixed
-    graded-lex basis of degree d; the answer is their rank.
+    Degree a echelonizes the deduplicated fold products.  Degree e + 1
+    echelonizes x_1..x_k times every stored pivot row of degree e, each
+    shifted by the index map from exponent m to m + e_i (I_{e+1} = S_1 * I_e).
+    Once a degree is full, dim S_d is returned without building more rows.
     """
     if d < a:
         raise ValueError("degree %d below generation degree %d" % (d, a))
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
+    _check_cells(sigma, a, d)
     k = sigma.k
-    basis = monomial_basis(k, d)
-    mults = monomial_basis(k, d - a)
-    est_rows = comb(sigma.n, a) * len(mults)
-    if est_rows * len(basis) > _cell_limit():
-        raise OracleLimitError(
-            "Hilbert matrix would have %d x %d cells; limit is %d"
-            % (est_rows, len(basis), _cell_limit())
-        )
-    gens = _dedup_polys(fold_generators(sigma, a))
-    index = {e: i for i, e in enumerate(basis)}
-    width = len(basis)
-    ech = IntEchelon(width, sigma.p)
-    for g in gens:
-        for mu in mults:
-            row = [0] * width
-            for e, c in g.items():
-                row[index[tuple(x + y for x, y in zip(e, mu))]] = c
-            ech.add(row)
-        if ech.is_full():
-            break
+    index = {m: i for i, m in enumerate(monomial_basis(k, a))}
+    unique = {tuple(sorted(g.items())): g for g in fold_generators(sigma, a)}
+    rows = [{index[m]: c for m, c in g.items()} for g in unique.values()]
+    for e in range(a, d + 1):
+        ech = IntEchelon(len(index), sigma.p)
+        for sparse in rows:
+            row = [0] * len(index)
+            for j, c in sparse.items():
+                row[j] = c
+            if ech.add(row) and ech.is_full():
+                return len(monomial_basis(k, d))
+        if e < d:  # I_{e+1} = S_1 * I_e
+            index = {m: i for i, m in enumerate(monomial_basis(k, e + 1))}
+            shifts = [
+                [index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in monomial_basis(k, e)]
+                for i in range(k)
+            ]
+            pivots = [[(j, c) for j, c in enumerate(r) if c] for r in ech.pivot_rows.values()]
+            rows = ({shift[j]: c for j, c in piv} for piv in pivots for shift in shifts)
     return ech.rank
 
 
@@ -142,7 +152,9 @@ def betti_from_hilbert(sigma: FormCollection, a: int) -> BettiTable:
     """Betti table recovered degree by degree from exact Hilbert values.
 
     b_1 is HF at the generation degree; each later b_i is an alternating
-    binomial combination of earlier ones plus the next HF value.  A negative
+    binomial combination of earlier ones plus the next HF value.  Once a
+    degree comes back full, the later values are dim S_d and are not
+    computed, though each degree still passes the cell limit.  A negative
     intermediate would contradict the linearity of the resolution, so it is
     reported as an error rather than clamped.
     """
@@ -150,9 +162,15 @@ def betti_from_hilbert(sigma: FormCollection, a: int) -> BettiTable:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
     ess = essentialize(sigma)
     k = ess.k
-    b = []
+    b, full = [], False
     for i in range(1, k + 1):
-        v = (-1) ** (i - 1) * hilbert_function(ess, a, a + i - 1)
+        d = a + i - 1
+        dim = len(monomial_basis(k, d))
+        if full:
+            _check_cells(ess, a, d)
+        hf = dim if full else hilbert_function(ess, a, d)
+        full = hf == dim
+        v = (-1) ** (i - 1) * hf
         for j in range(1, i):
             v += (-1) ** (j - 1) * comb(k + j - 1, j) * b[i - j - 1]
         if v < 0:

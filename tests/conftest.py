@@ -1,14 +1,17 @@
 """Shared fixtures: the worked examples as collections, random generators
-(a Hypothesis strategy among them), the naive reference eliminator, and a
-terminal-summary hook that prints one line per acceptance criterion."""
+(a Hypothesis strategy among them), the naive reference eliminator, the
+plain-matrix Hilbert function, and a terminal-summary hook that prints one
+line per acceptance criterion."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
 from foldbetti import normalize
+from foldbetti.oracle import monomial_basis
 
 
 def gauss_rank(rows, p=None):
@@ -31,14 +34,51 @@ def gauss_rank(rows, p=None):
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
         for i in range(r + 1, nr):
+            if rows[i][c] == 0:
+                continue
             f = rows[i][c] * inv
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
             if p is not None:
                 rows[i] = [x % p for x in rows[i]]
         r += 1
         if r == nr:
             break
     return r
+
+
+def fold_products_reference(sigma, a):
+    """The C(n, a) fold products in ``combinations`` order, each multiplied
+    out anew as a dict exponent -> coefficient (mod p over GF(p))."""
+    cols = sigma.expanded_columns()
+    out = []
+    for subset in combinations(range(sigma.n), a):
+        poly = {(0,) * sigma.k: 1}
+        for j in subset:
+            nxt = {}
+            for exp, c in poly.items():
+                for i, f in enumerate(cols[j]):
+                    e2 = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+                    nxt[e2] = nxt.get(e2, 0) + c * f
+            poly = {e: c if sigma.p is None else c % sigma.p for e, c in nxt.items()}
+            poly = {e: c for e, c in poly.items() if c}
+        out.append(poly)
+    return out
+
+
+def hilbert_function_reference(sigma, a, d):
+    """HF(I_a, d) as the rank of the plain matrix: every fold product times
+    every monomial of degree d - a, all C(n, a) * dim S_{d-a} rows, in the
+    degree-d basis, ranked by :func:`gauss_rank`."""
+    basis = monomial_basis(sigma.k, d)
+    index = {e: i for i, e in enumerate(basis)}
+    rows = []
+    for g in fold_products_reference(sigma, a):
+        for mu in monomial_basis(sigma.k, d - a):
+            row = [0] * len(basis)
+            for e, c in g.items():
+                row[index[tuple(x + y for x, y in zip(e, mu))]] = c
+            rows.append(row)
+    return gauss_rank(rows, sigma.p)
 
 
 @pytest.fixture

@@ -248,6 +248,40 @@ def test_main_hilbert_empty_degree_range(tmp_path, capsys):
     assert "degree range is empty" in captured.err
 
 
+@pytest.mark.parametrize("text", ["3..", "3..5..7", "x"])
+def test_malformed_degrees_name_the_option(tmp_path, capsys, text):
+    path = write_instance(tmp_path)
+    assert main(["hilbert", "--input", path, "--fold", "2", "--degrees", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "foldbetti: --degrees must be D or D1..D2 with integer D, got %r\n" % text
+    )
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("tutte", ["--fold", "99"]),
+        ("tutte", ["--all-folds"]),
+        ("hamming", ["--fold", "2"]),
+        ("hamming", ["--all-folds"]),
+        ("betti", ["--degrees", "3..4"]),
+        ("verify", ["--degrees", "3"]),
+        ("height", ["--degrees", "3..4"]),
+        ("tutte", ["--degrees", "3"]),
+    ],
+    ids=["tutte-fold", "tutte-all-folds", "hamming-fold", "hamming-all-folds",
+         "betti-degrees", "verify-degrees", "height-degrees", "tutte-degrees"],
+)
+def test_ignored_options_are_refused(tmp_path, capsys, command, option):
+    path = write_instance(tmp_path)
+    assert main([command, "--input", path] + option) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "foldbetti: %s does not take %s\n" % (command, option[0])
+
+
 def test_parser_choices():
     parser = build_parser()
     with pytest.raises(SystemExit):

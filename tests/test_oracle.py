@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from foldbetti import (
     b1_tutte,
@@ -15,9 +17,17 @@ from foldbetti import (
     rank2_flats,
     relation_space,
 )
+from foldbetti import oracle
 from foldbetti.oracle import OracleLimitError, hf_report, monomial_basis
 
-from conftest import gauss_rank, make_random_arrangement, make_random_collection
+from conftest import (
+    fold_products_reference,
+    gauss_rank,
+    hilbert_function_reference,
+    make_random_arrangement,
+    make_random_collection,
+    raw_collections,
+)
 
 
 def distinct_polys(polys):
@@ -164,3 +174,70 @@ def test_arrangement_relation_rank_matches_flats(rng):
         arrangement = make_random_arrangement(rng, 6)
         beta = sum(comb(size - 1, 2) for _, size in rank2_flats(arrangement))
         assert relation_space(arrangement, 4).rank == beta
+
+
+def _small(collection, inert):
+    """At most five forms, in at most three variables, the last one inert
+    when ``inert``: the plain reference matrix stays small."""
+    k, raw = collection
+    k = min(k, 3 - inert)
+    out, n = [], 0
+    for coeffs, mult in raw:
+        mult = min(mult, 5 - n)
+        if mult < 1:
+            break
+        out.append((coeffs[:k] + (0,) * inert, mult))
+        n += mult
+    return out, k + inert
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(collection=raw_collections, inert=st.booleans())
+def test_hilbert_function_matches_plain_matrix(p, collection, inert):
+    # hf_report passes the collection as given, so an inert variable stays
+    raw, k = _small(collection, inert)
+    assume(any(any(c) for c, _ in raw))
+    sigma = normalize(raw, k, p)
+    for a in range(1, sigma.n + 1):
+        assert fold_generators(sigma, a) == fold_products_reference(sigma, a)
+        for d in range(a, a + k + 2):
+            assert hilbert_function(sigma, a, d) == hilbert_function_reference(sigma, a, d)
+
+
+def test_guard_names_the_first_degree_over_the_limit(example_2_5, monkeypatch):
+    # a = 4: degree 4 has 35 x 15 plain cells, degree 5 has 105 x 21
+    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", "1000")
+    assert hilbert_function(example_2_5, 4, 4) == 14
+    with pytest.raises(OracleLimitError) as exc:
+        betti_from_hilbert(example_2_5, 4)
+    assert str(exc.value) == "Hilbert matrix would have 105 x 21 cells; limit is 1000"
+    with pytest.raises(OracleLimitError) as exc:
+        hf_report(example_2_5, 4, range(6, 8))
+    assert str(exc.value) == "Hilbert matrix would have 210 x 28 cells; limit is 1000"
+
+
+def test_guard_still_applies_after_a_full_degree(example_2_5, monkeypatch):
+    # a = 1 <= d_1: degree 1 is full, yet degree 2 (21 x 6 plain cells) is refused
+    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", "50")
+    assert hilbert_function(example_2_5, 1, 1) == 3
+    with pytest.raises(OracleLimitError) as exc:
+        betti_from_hilbert(example_2_5, 1)
+    assert str(exc.value) == "Hilbert matrix would have 21 x 6 cells; limit is 50"
+
+
+def test_full_degree_stops_the_hilbert_calls(example_2_5, monkeypatch):
+    # d_1 = 3 for Example 2.5, so I_3 is the maximal-ideal power m^3
+    calls = []
+    real = oracle.hilbert_function
+
+    def counted(sigma, a, d):
+        calls.append(d)
+        return real(sigma, a, d)
+
+    monkeypatch.setattr(oracle, "hilbert_function", counted)
+    assert betti_from_hilbert(example_2_5, 3) == betti_maximal_power(3, 3)
+    assert calls == [3]
+    calls.clear()
+    assert betti_from_hilbert(example_2_5, 4).b == (14, 22, 9)
+    assert calls == [4, 5, 6]
