@@ -21,12 +21,12 @@ complete immutable tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .forms import (
     FormCollection,
+    FrozenRecord,
     contract,
     delete,
     drop_group,
@@ -52,15 +52,13 @@ TUTTE_MAX_N = 16
 _recursion_cache = {}
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(FrozenRecord):
     """Fold a plus the vector (b_1, ..., b_k); the zero ideal is all zeros."""
 
-    a: int
-    k: int
-    b: tuple
+    __slots__ = ("a", "k", "b")
 
-    def __post_init__(self):
+    def __init__(self, a: int, k: int, b: tuple):
+        super().__init__(a, k, b)
         if len(self.b) != self.k:
             raise ValueError("expected %d Betti numbers, got %d" % (self.k, len(self.b)))
         seen_zero = False

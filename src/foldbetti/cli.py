@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .betti import (
@@ -23,7 +22,7 @@ from .betti import (
     compute_betti,
     herzog_kuhl_residuals,
 )
-from .forms import essentialize, normalize
+from .forms import Record, essentialize, normalize
 from .matroid import (
     hamming_weights,
     height_of_fold_ideal,
@@ -41,25 +40,26 @@ class CommandError(Exception):
     """The requested computation cannot run with the given options."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT,
+# the least strong pseudoprime to all of them (OEIS A014233).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    if p < 2 or any(p % b == 0 for b in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    # p passes base b when b^d, b^2d, ..., b^(2^(s-1) d) starts at 1 or meets -1
+    chains = ([pow(b, d << i, p) for i in range(s)] for b in _BASES)
+    return all(chain[0] == 1 or p - 1 in chain for chain in chains)
 
 
-@dataclass
-class InstanceFile:
+class InstanceFile(Record):
     """Validated instance: scalar field, ambient count, forms with multiplicity."""
 
-    field: str
-    p: int | None
-    k: int
-    forms: list
+    __slots__ = ("field", "p", "k", "forms")
 
     @property
     def n(self) -> int:
@@ -95,6 +95,8 @@ def parse_instance(text) -> InstanceFile:
             p = int(field[3:-1])
         except ValueError:
             raise InstanceError("field: cannot read a prime out of %r" % (field,)) from None
+        if p >= PRIME_LIMIT:
+            raise InstanceError("field: gf(p) needs p < %d, got %d" % (PRIME_LIMIT, p))
         if not _is_prime(p):
             raise InstanceError("field: %d is not prime" % p)
     k = data.get("k")
@@ -142,12 +144,10 @@ def to_collection(instance: InstanceFile):
     return normalize(instance.forms, instance.k, instance.p)
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """Per-run results plus an overall success flag (drives the exit code)."""
 
-    data: dict
-    ok: bool
+    __slots__ = ("data", "ok")
 
     def to_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, indent=2) + "\n"

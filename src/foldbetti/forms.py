@@ -21,9 +21,9 @@ copies vanish, and no other form does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .exactlin import IntEchelon
 
@@ -60,19 +60,62 @@ def canonical_coeffs(coeffs, p=None):
     return tuple(x * inv % p for x in ints)
 
 
-@dataclass(frozen=True)
-class FormCollection:
+class Record:
+    """A value record: its fields are its ``__slots__``, in constructor order.
+
+    Records are equal when they have the same type and equal fields.  A plain
+    record is mutable and unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class FrozenRecord(Record):
+    """A record that refuses assignment and hashes by its fields, so it can key a memo."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class FormCollection(FrozenRecord):
     """The multiset of linear forms: groups of (coeffs, multiplicity).
 
     ``p`` is the field: None for the rationals, otherwise a prime.  Every
     form must already be in its canonical scale over that field.
     """
 
-    k: int
-    groups: tuple
-    p: int | None = None
+    __slots__ = ("k", "groups", "p")
 
-    def __post_init__(self):
+    def __init__(self, k: int, groups: tuple, p: int | None = None):
+        super().__init__(k, groups, p)
         if not self.groups:
             raise ValueError("empty collection")
         field = "" if self.p is None else " GF(%d)" % self.p
@@ -112,12 +155,10 @@ class FormCollection:
         return cols
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(FrozenRecord):
     """Per-group exponents e_i = max(m_i + a - n, 0) and e = max(a - sum e_i, 0)."""
 
-    e_list: tuple
-    e: int
+    __slots__ = ("e_list", "e")
 
 
 def _sort_key(coeffs, mult):

@@ -21,13 +21,12 @@ torn entry can be observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from operator import add
 
 from .exactlin import IntEchelon, bareiss_rank
-from .forms import FormCollection, canonical_coeffs, contract, drop_group, essentialize
+from .forms import FormCollection, FrozenRecord, canonical_coeffs, contract, drop_group, essentialize
 
 _full_rank_cache = {}
 _flats_cache = {}
@@ -159,11 +158,10 @@ def rank2_flats(sigma: FormCollection):
     return sized
 
 
-@dataclass(frozen=True)
-class HammingWeights:
+class HammingWeights(FrozenRecord):
     """d[r-1] is the r-th generalized Hamming weight, r = 1..k."""
 
-    d: tuple
+    __slots__ = ("d",)
 
 
 def hamming_weights(sigma: FormCollection) -> HammingWeights:

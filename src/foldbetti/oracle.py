@@ -18,14 +18,13 @@ instances whose matrices would not fit a quick exact computation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .betti import BettiTable
 from .exactlin import IntEchelon, SparseIntEchelon
-from .forms import FormCollection, canonical_coeffs, essentialize
+from .forms import FormCollection, Record, canonical_coeffs, essentialize
 from .matroid import circuits_up_to
 
 DEFAULT_CELL_LIMIT = 5_000_000
@@ -179,12 +178,10 @@ def betti_from_hilbert(sigma: FormCollection, a: int) -> BettiTable:
     return BettiTable(a, k, tuple(b))
 
 
-@dataclass
-class HFReport:
+class HFReport(Record):
     """Exact Hilbert-function values of the fold ideal, degree -> dimension."""
 
-    a: int
-    values: dict
+    __slots__ = ("a", "values")
 
     def to_json_dict(self):
         return {"a": self.a, "hf": {str(d): v for d, v in sorted(self.values.items())}}
@@ -194,18 +191,14 @@ def hf_report(sigma: FormCollection, a: int, degrees) -> HFReport:
     return HFReport(a, {d: hilbert_function(sigma, a, d) for d in degrees})
 
 
-@dataclass
-class RelationSpace:
+class RelationSpace(Record):
     """Constant-coefficient relations among fold generators, from circuits.
 
     Generators are sparse vectors indexed by the (n-a)-subsets in
     lexicographic order; their span has dimension C(n, n-a) - b_1.
     """
 
-    a: int
-    ambient_dim: int
-    generators: list
-    rank: int
+    __slots__ = ("a", "ambient_dim", "generators", "rank")
 
 
 def circuit_dependency(cols, p=None):

@@ -1,10 +1,14 @@
 """Instance parsing, report schemas, exit codes, and output stability."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import foldbetti
 from foldbetti import cli
 from foldbetti.cli import (
     CommandError,
@@ -375,3 +379,57 @@ def test_cell_limit_is_checked_before_any_command(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     assert "FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer" in captured.err
     assert repr(value) in captured.err
+
+
+def run_child(args, timeout=5):
+    """Run the CLI (or Python code, for ``-c``) in a fresh interpreter."""
+    src = str(Path(foldbetti.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    head = [sys.executable] if args[0] == "-c" else [sys.executable, "-m", "foldbetti.cli"]
+    return subprocess.run(head + args, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every call; compare against what was loaded before
+    code = (
+        "import sys; before = set(sys.modules); import foldbetti.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    child = run_child(["-c", code])
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "p, code, message",
+    [
+        (2**61 - 1, 0, None),
+        # 1000000007 * 1000000009: trial division would run for minutes
+        (1000000016000000063, 1, "field: 1000000016000000063 is not prime"),
+        # a strong pseudoprime to each of the first 12 prime bases
+        (318665857834031151167461, 1, "field: 318665857834031151167461 is not prime"),
+        # the least strong pseudoprime to the first 13 prime bases
+        (3317044064679887385961981, 1, "field: gf(p) needs p < 3317044064679887385961981"),
+    ],
+    ids=["mersenne61", "semiprime", "psi12", "limit"],
+)
+def test_large_prime_fields_answer_at_once(tmp_path, p, code, message):
+    doc = {"field": "gf(%d)" % p, "k": 2,
+           "forms": [{"coeffs": c, "mult": 1} for c in (["1", "0"], ["0", "1"], ["1", "1"])]}
+    child = run_child(["hamming", "--input", write_instance(tmp_path, doc), "--json"])
+    assert child.returncode == code, child.stderr
+    if message is None:
+        assert json.loads(child.stdout)["hamming"] == [2, 3]
+    else:
+        assert child.stderr.startswith("foldbetti: %s" % message)
+        assert child.stderr.count("\n") == 1
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-2, 20000) if cli._is_prime(n)] == [n for n in range(-2, 20000) if trial(n)]
+    # Carmichael numbers and strong pseudoprimes to small base sets
+    for n in (561, 41041, 2047, 1373653, 25326001, 3215031751, 3825123056546413051):
+        assert not cli._is_prime(n)

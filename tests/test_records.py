@@ -1,0 +1,124 @@
+"""The value records: construction, equality, hashing, immutability, repr.
+
+Each record is built positionally from its fields in declaration order.
+Records are equal when they have the same type and equal fields.  The
+frozen ones (collections, tables, reduction data, Hamming weights) are
+hashable and refuse assignment, because the memos key on them; the report
+records are mutable and unhashable.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from foldbetti import (
+    BettiTable,
+    FormCollection,
+    HammingWeights,
+    HFReport,
+    ReductionData,
+    RelationSpace,
+)
+from foldbetti.cli import InstanceFile, RunReport
+
+# (record type, field names, positional values, frozen)
+RECORDS = [
+    (BettiTable, ("a", "k", "b"), (4, 3, (14, 22, 9)), True),
+    (FormCollection, ("k", "groups", "p"), (2, (((1, 0), 2), ((0, 1), 1)), None), True),
+    (FormCollection, ("k", "groups", "p"), (2, (((1, 0), 2), ((1, 5), 1)), 7), True),
+    (ReductionData, ("e_list", "e"), ((1, 0), 2), True),
+    (HammingWeights, ("d",), ((2, 3),), True),
+    (HFReport, ("a", "values"), (2, {2: 3, 3: 4}), False),
+    (RelationSpace, ("a", "ambient_dim", "generators", "rank"), (1, 3, [{0: 1, 2: -1}], 1), False),
+    (InstanceFile, ("field", "p", "k", "forms"), ("rational", None, 1, [((1,), 2)]), False),
+    (RunReport, ("data", "ok"), ({"command": "betti"}, True), False),
+]
+IDS = ["%s-%d" % (case[0].__name__, i) for i, case in enumerate(RECORDS)]
+
+
+@pytest.mark.parametrize("cls, names, values, frozen", RECORDS, ids=IDS)
+def test_positional_construction_sets_each_field(cls, names, values, frozen):
+    record = cls(*values)
+    assert tuple(getattr(record, name) for name in names) == values
+
+
+@pytest.mark.parametrize("cls, names, values, frozen", RECORDS, ids=IDS)
+def test_equality_is_by_type_and_fields(cls, names, values, frozen):
+    record = cls(*values)
+    assert record == cls(*copy.deepcopy(values))
+    twin = type("Twin", (cls,), {})(*values)
+    assert record != twin and twin != record
+    assert record != values
+
+
+@pytest.mark.parametrize("cls, names, values, frozen", RECORDS, ids=IDS)
+def test_hashable_exactly_when_frozen(cls, names, values, frozen):
+    record = cls(*values)
+    if frozen:
+        assert hash(record) == hash(cls(*copy.deepcopy(values)))
+        assert {record: 1}[cls(*values)] == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+@pytest.mark.parametrize("cls, names, values, frozen", RECORDS, ids=IDS)
+def test_frozen_records_refuse_assignment(cls, names, values, frozen):
+    record = cls(*values)
+    if frozen:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == cls(*values)
+    else:
+        setattr(record, names[-1], None)
+        assert getattr(record, names[-1]) is None
+        assert record != cls(*values)
+
+
+@pytest.mark.parametrize("cls, names, values, frozen", RECORDS, ids=IDS)
+def test_repr_names_every_field(cls, names, values, frozen):
+    fields = ", ".join("%s=%r" % pair for pair in zip(names, values))
+    assert repr(cls(*values)) == "%s(%s)" % (cls.__name__, fields)
+
+
+@pytest.mark.parametrize("cls, names, values, frozen", RECORDS, ids=IDS)
+def test_copy_and_pickle_round_trip(cls, names, values, frozen):
+    record = cls(*values)
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1, 3, (1, 0, 2)), "zero followed by nonzero"),
+        ((1, 2, (3, -1)), "negative Betti number"),
+        ((1, 2, (3,)), "expected 2 Betti numbers, got 1"),
+    ],
+)
+def test_betti_table_validation(values, message):
+    with pytest.raises(ValueError, match=message):
+        BettiTable(*values)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((2, ()), "empty collection"),
+        ((3, (((1, 0), 1),)), "form \\(1, 0\\) has 2 coefficients, ambient is 3"),
+        ((2, (((1, 0), 0),)), "multiplicity must be positive"),
+        ((2, (((0, 0), 1),)), "zero form cannot live in a collection"),
+        ((2, (((2, 0), 1),)), "form \\(2, 0\\) is not a canonical form"),
+        ((2, (((1, 9), 1),), 7), "form \\(1, 9\\) is not a canonical GF\\(7\\) form"),
+        ((2, (((0, 1), 1), ((1, 0), 2))), "groups are not in canonical order"),
+        ((2, (((1, 0), 1), ((1, 0), 1))), "proportional groups were not merged"),
+    ],
+)
+def test_form_collection_validation(values, message):
+    with pytest.raises(ValueError, match=message):
+        FormCollection(*values)
