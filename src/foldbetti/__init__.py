@@ -7,17 +7,12 @@ for a table by any method, or go through the ``foldbetti`` CLI.
 
 from .betti import (
     BettiTable,
-    b1_k3_veronese,
-    b1_singular_line_arrangement,
     b1_tutte,
-    b1_veronese,
     betti_cm_generic,
     betti_from_b1_height_km1,
     betti_height1_reduce,
-    betti_k3_block,
     betti_maximal_power,
     betti_nminus1,
-    betti_nminus2_arrangement,
     betti_rank2,
     betti_recursion,
     compute_betti,
@@ -38,7 +33,6 @@ from .matroid import (
     circuits_up_to,
     hamming_weights,
     height_of_fold_ideal,
-    rank2_flats,
     subset_rank,
     tutte_polynomial,
     tutte_shifted_coeffs,

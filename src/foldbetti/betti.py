@@ -2,10 +2,10 @@
 
 All ideals here have linear graded free resolutions, so the full homological
 story is the vector (b_1, ..., b_k).  This module implements the closed
-forms (maximal power, Cohen-Macaulay generic, a = n-1, a = n-2 arrangement,
+forms the dispatcher calls (maximal power, Cohen-Macaulay generic, a = n-1,
 rank-2, Tutte-based first Betti number with Herzog-Kuhl closure), the
-deletion-contraction recursion that reduces everything to rank 2, a k = 3
-block-elimination variant, and the method dispatcher.
+deletion-contraction recursion that reduces everything to rank 2, and the
+method dispatcher.
 
 The dispatcher reads its base cases off the generalized Hamming weights
 d_1 < ... < d_k of the collection: they fix the height window of each
@@ -21,7 +21,6 @@ complete immutable tables.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 from .forms import (
@@ -29,7 +28,6 @@ from .forms import (
     FrozenRecord,
     contract,
     delete,
-    drop_group,
     essentialize,
     normalize,
     reduction_data,
@@ -37,7 +35,6 @@ from .forms import (
 from .matroid import (
     hamming_weights,
     height_of_fold_ideal,
-    rank2_flats,
     tutte_polynomial,
     tutte_shifted_coeffs,
 )
@@ -80,12 +77,6 @@ class BettiTable(FrozenRecord):
 
     def to_json_dict(self):
         return {"a": self.a, "k": self.k, "b": list(self.b)}
-
-
-def _comb0(n, r):
-    if n < 0 or r < 0:
-        return 0
-    return comb(n, r)
 
 
 def _entry(table, i):
@@ -197,85 +188,6 @@ def betti_cm_generic(sigma: FormCollection, a: int) -> BettiTable:
     return BettiTable(a, k, b)
 
 
-def betti_nminus2_arrangement(sigma: FormCollection) -> BettiTable:
-    """Fold n-2 of a simple rank >= 3 arrangement, via rank-2 flats."""
-    ess = essentialize(sigma)
-    if any(m != 1 for m in ess.multiplicities):
-        raise ValueError("arrangement must be simple (all multiplicities 1)")
-    if ess.k < 3:
-        raise ValueError("effective rank %d is below 3" % ess.k)
-    n, k = ess.n, ess.k
-    alpha = comb(n, 2)
-    beta = sum(comb(size - 1, 2) for _, size in rank2_flats(ess))
-    b = [alpha - beta, 2 * alpha - n - 2 * beta, alpha - n - beta + 1]
-    b += [0] * (k - 3)
-    return BettiTable(n - 2, k, tuple(b))
-
-
-def b1_veronese(m, k: int, a: int, allow_any_fold: bool = False) -> int:
-    """Generator count for coordinate collections (x_1 x m_1, ..., x_k x m_k).
-
-    Inclusion-exclusion count of the degree-a monomials with per-variable
-    caps m_i.  The closed form is usually quoted for a >= max(m); pass
-    ``allow_any_fold`` to use it as a cross-check outside that range.
-    """
-    m = tuple(m)
-    if len(m) != k or any(v < 1 for v in m):
-        raise ValueError("need k positive caps")
-    if not 1 <= a <= sum(m):
-        raise ValueError("fold %d out of range 1..%d" % (a, sum(m)))
-    if a < max(m) and not allow_any_fold:
-        raise ValueError("fold %d below the largest cap %d" % (a, max(m)))
-    total = 0
-    for r in range(k + 1):
-        for subset in combinations(range(k), r):
-            shift = sum(m[i] + 1 for i in subset)
-            total += (-1) ** r * _comb0(a + k - 1 - shift, k - 1)
-    return total
-
-
-def b1_k3_veronese(m1: int, m2: int, m3: int, a: int) -> int:
-    """First Betti number of (x1 x m1, x2 x m2, x3 x m3) in the middle window."""
-    if not (m1 >= m2 >= m3 >= 1):
-        raise ValueError("caps must satisfy m1 >= m2 >= m3 >= 1")
-    if m1 < m3 + 2:
-        raise ValueError("need m1 >= m3 + 2")
-    if not (m3 + 1 <= a <= m2 + m3 and a <= m1 - 1):
-        raise ValueError("fold %d outside the window" % a)
-    n = m1 + m2 + m3
-    if a <= m2:
-        return (m3 + 1) * (a + 1) - comb(m3 + 1, 2)
-    return (
-        (a + 1) * (n - m1 - a + 1)
-        + (a - m2) * (m2 + 1)
-        + comb(a - m2, 2)
-        - comb(m3 + 1, 2)
-    )
-
-
-def b1_singular_line_arrangement(sigma: FormCollection) -> int:
-    """b_1 at fold n-m+1 for a line arrangement whose m-fold points are collinear.
-
-    m is the maximal number of concurrent lines and t counts the points
-    achieving it; the hypothesis is that those points all lie on one line of
-    the arrangement, checked via the rank-2 flats.
-    """
-    ess = essentialize(sigma)
-    if any(m != 1 for m in ess.multiplicities):
-        raise ValueError("arrangement must be simple (all multiplicities 1)")
-    if ess.k != 3:
-        raise ValueError("line arrangements live in effective rank 3")
-    flats = rank2_flats(ess)
-    m = flats[0][1]
-    max_flats = [set(flat) for flat, size in flats if size == m]
-    common = set.intersection(*max_flats)
-    if not common:
-        raise ValueError("modular points not collinear")
-    t = len(max_flats)
-    n = ess.n
-    return comb(n - m + 3, 2) - t
-
-
 def herzog_kuhl_residuals(table: BettiTable, a: int, height: int):
     """The height-many Herzog-Kuhl left-hand sides; all zero for a true table."""
     k = table.k
@@ -343,40 +255,6 @@ def _recursion_dispatch(ess, a):
         for i in range(1, k + 1)
     )
     return BettiTable(a, k, b)
-
-
-def betti_k3_block(sigma: FormCollection, a: int) -> BettiTable:
-    """Rank-3 block elimination: peel the pivot group with all its copies.
-
-    Every contraction lands in rank 2 where the closed form applies, so one
-    recursion on the pivot-free collection plus a sum of rank-2 tables gives
-    the whole answer.  Folds that reach 0 contribute the unit ideal's (1,).
-    """
-    ess = essentialize(sigma)
-    k, n = ess.k, ess.n
-    if k > 3:
-        raise ValueError("block elimination expects effective rank <= 3")
-    if a > n:
-        return _zero_table(a, k)
-    if k <= 2:
-        return betti_rank2(ess, a)
-    m1 = ess.groups[0][1]
-    contracted = contract(ess, 0)
-    acc = [0, 0, 0]
-    for j in range(min(m1, a)):
-        fold = a - j
-        if contracted is not None and fold <= contracted.n:
-            tb = betti_rank2(contracted, fold)
-            for i in range(1, 4):
-                acc[i - 1] += _entry(tb, i) + _entry(tb, i - 1)
-    if m1 >= a:
-        acc[0] += 1
-    else:
-        rest = drop_group(ess, 0)
-        tail = betti_k3_block(rest, a - m1)
-        for i in range(1, 4):
-            acc[i - 1] += _entry(tail, i)
-    return BettiTable(a, 3, tuple(acc))
 
 
 def compute_betti(sigma: FormCollection, a: int, method: str = "auto") -> BettiTable:

@@ -7,7 +7,8 @@ key-sorted JSON that is byte-identical across runs.
 
 Exit codes: 0 when everything ran (and agreed, for ``verify``); 1 for bad
 input, a refused computation or a disagreement; 2 for a bad command line;
-3 when the computation nests deeper than the interpreter's recursion limit.
+3 when the computation nests deeper than the interpreter's recursion limit
+or runs out of memory.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .betti import (
 )
 from .forms import Record, essentialize, normalize
 from .matroid import (
+    TuttePoly,
     hamming_weights,
     height_of_fold_ideal,
     tutte_polynomial,
@@ -211,12 +213,7 @@ def run(
     elif command == "tutte":
         poly = tutte_polynomial(ess)
         data["tutte"] = poly.to_json_dict()
-        data["tutte_shifted"] = {
-            "terms": [
-                {"x": i, "y": j, "c": str(c)}
-                for (i, j), c in sorted(tutte_shifted_coeffs(poly).items())
-            ]
-        }
+        data["tutte_shifted"] = TuttePoly(tutte_shifted_coeffs(poly)).to_json_dict()
     elif command == "hamming":
         data["hamming"] = list(hamming_weights(ess).d)
     elif command == "height":
@@ -377,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     folds = parser.add_mutually_exclusive_group()
     folds.add_argument("--fold", type=int, help="single fold a")
     folds.add_argument("--all-folds", action="store_true", help="run every a = 1..n")
-    parser.add_argument("--method", choices=list(METHODS), default="auto")
+    parser.add_argument("--method", choices=list(METHODS), help="betti only (default auto)")
     parser.add_argument("--degrees", help="degree range D1..D2 (hilbert only)")
     parser.add_argument("--json", dest="as_json", action="store_true", help="machine output")
     parser.add_argument(
@@ -399,10 +396,13 @@ def main(argv=None) -> int:
         instance = parse_instance(text)
         # an option the command would silently ignore is an error
         given = {"--fold": args.fold is not None, "--all-folds": args.all_folds,
-                 "--degrees": args.degrees is not None}
-        takes = {"tutte": (), "hamming": (), "hilbert": ("--fold", "--all-folds", "--degrees")}
+                 "--method": args.method is not None, "--degrees": args.degrees is not None,
+                 "--allow-trivial": args.allow_trivial}
+        on_folds = ("--fold", "--all-folds", "--allow-trivial")
+        takes = {"betti": on_folds + ("--method",), "verify": on_folds, "height": on_folds,
+                 "hilbert": on_folds + ("--degrees",), "tutte": (), "hamming": ()}
         for option in (o for o, on in given.items() if on):
-            if option not in takes.get(args.command, ("--fold", "--all-folds")):
+            if option not in takes[args.command]:
                 raise CommandError("%s does not take %s" % (args.command, option))
         folds = [args.fold] if args.fold is not None else None
         degrees = _parse_degrees(args.degrees) if args.degrees is not None else None
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
             args.command,
             instance,
             folds=folds,
-            method=args.method,
+            method=args.method or "auto",
             degrees=degrees,
             allow_trivial=args.allow_trivial,
         )
@@ -423,6 +423,9 @@ def main(argv=None) -> int:
             " recursion limit (%d frames)" % sys.getrecursionlimit(),
             file=sys.stderr,
         )
+        return 3
+    except MemoryError:
+        print("foldbetti: the computation ran out of memory", file=sys.stderr)
         return 3
     sys.stdout.write(report.to_json() if args.as_json else report.to_text())
     return 0 if report.ok else 1

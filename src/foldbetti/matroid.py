@@ -1,18 +1,16 @@
 """The matroid of a form collection's coefficient matrix.
 
 Column indices are 0-based and multiplicity-expanded (copy i of a group is
-its own ground-set element).  Provides subset ranks, circuits, rank-2
-flats, generalized Hamming weights, fold-ideal heights, and the Tutte
-polynomial computed by memoized deletion-contraction with the subset-sum
-definition kept around as an independent cross-check.
+its own ground-set element).  Provides subset ranks, circuits, generalized
+Hamming weights, fold-ideal heights, and the Tutte polynomial computed by
+memoized deletion-contraction.
 
-Rank-2 flats and Hamming weights read one enumerator of the flats of the
-simple matroid (one element per group), built rank by rank from the empty
-flat.  Its rule is covers by projection: the forms outside a flat F are
-reduced modulo the span of F, and forms whose residues are proportional
-span one flat of the next rank with F.  The flats depend only on the set
-of forms, so they are memoized by it and weighted by each collection's
-multiplicities when read.
+Hamming weights read one enumerator of the flats of the simple matroid
+(one element per group), built rank by rank from the empty flat.  Its rule
+is covers by projection: the forms outside a flat F are reduced modulo the
+span of F, and forms whose residues are proportional span one flat of the
+next rank with F.  The flats depend only on the set of forms, so they are
+memoized by it and weighted by each collection's multiplicities when read.
 
 The memo tables behave as single logical maps: concurrent callers may
 duplicate work but dict reads/writes of immutable values are atomic, so no
@@ -138,26 +136,6 @@ def _sizes(flats, layers):
     return sizes
 
 
-def rank2_flats(sigma: FormCollection):
-    """Closed rank-2 sets of groups, with their size counted by multiplicity.
-
-    Each flat is the full set of groups lying in the 2-dimensional span of
-    some pair; returned as (sorted group-index tuple, size) ordered by
-    decreasing size then index.
-    """
-    if full_rank(sigma) < 2:
-        raise ValueError("effective rank must be at least 2")
-    forms, levels = _flats(sigma)
-    group_of = {coeffs: g for g, (coeffs, _) in enumerate(sigma.groups)}
-    sizes = _sizes(levels[2], _multiplicity_layers(sigma, forms))
-    sized = [
-        (tuple(sorted(group_of[c] for i, c in enumerate(forms) if flat >> i & 1)), size)
-        for flat, size in zip(levels[2], sizes)
-    ]
-    sized.sort(key=lambda fs: (-fs[1], fs[0]))
-    return sized
-
-
 class HammingWeights(FrozenRecord):
     """d[r-1] is the r-th generalized Hamming weight, r = 1..k."""
 
@@ -276,34 +254,6 @@ def tutte_polynomial(sigma: FormCollection) -> TuttePoly:
         raise AssertionError("Tutte polynomial lost its bases count")
     _tutte_cache[sigma] = poly
     return poly
-
-
-def tutte_polynomial_subset_sum(sigma: FormCollection) -> TuttePoly:
-    """The subset-sum definition, as an independent cross-check (n <= 16)."""
-    n = sigma.n
-    if n > 16:
-        raise ValueError("subset-sum Tutte is limited to n <= 16")
-    cols = sigma.expanded_columns()
-    full = full_rank(sigma)
-    counts = {}
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            r = bareiss_rank([cols[i] for i in subset], sigma.p)
-            key = (full - r, size - r)
-            counts[key] = counts.get(key, 0) + 1
-    out = {}
-    for (ex, ey), mult in counts.items():
-        # expand (x-1)^ex * (y-1)^ey
-        for i in range(ex + 1):
-            ci = comb(ex, i) * (-1) ** (ex - i)
-            for j in range(ey + 1):
-                ij = (i, j)
-                v = out.get(ij, 0) + mult * ci * comb(ey, j) * (-1) ** (ey - j)
-                if v:
-                    out[ij] = v
-                elif ij in out:
-                    del out[ij]
-    return TuttePoly(out)
 
 
 def tutte_shifted_coeffs(tp: TuttePoly):

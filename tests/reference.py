@@ -1,0 +1,194 @@
+"""The paper's special closed forms and brute-force cross-checks.
+
+None of these runs in the package: the CLI and the recursion dispatcher
+never call them.  Tests compare them against the recursion and the oracles,
+so they stay here as independent references:
+
+- :func:`betti_nminus2_arrangement`, the fold n-2 table of a simple rank
+  >= 3 arrangement read off its rank-2 flats;
+- :func:`b1_veronese` and :func:`b1_k3_veronese`, generator counts of
+  coordinate collections with multiplicity;
+- :func:`b1_singular_line_arrangement`, b_1 of a line arrangement whose
+  points of maximal multiplicity are collinear;
+- :func:`betti_k3_block`, rank-3 block elimination, a second
+  deletion-contraction engine beside ``betti_recursion``;
+- :func:`rank2_flats`, the rank-2 level of the flat enumerator with group
+  indices and sizes;
+- :func:`tutte_polynomial_subset_sum`, the subset-sum definition of the
+  Tutte polynomial.
+"""
+
+from itertools import combinations
+from math import comb
+
+from foldbetti.betti import BettiTable, _entry, _zero_table, betti_rank2
+from foldbetti.exactlin import bareiss_rank
+from foldbetti.forms import FormCollection, contract, drop_group, essentialize
+from foldbetti.matroid import TuttePoly, _flats, _multiplicity_layers, _sizes, full_rank
+
+
+def _comb0(n, r):
+    if n < 0 or r < 0:
+        return 0
+    return comb(n, r)
+
+
+def betti_nminus2_arrangement(sigma: FormCollection) -> BettiTable:
+    """Fold n-2 of a simple rank >= 3 arrangement, via rank-2 flats."""
+    ess = essentialize(sigma)
+    if any(m != 1 for m in ess.multiplicities):
+        raise ValueError("arrangement must be simple (all multiplicities 1)")
+    if ess.k < 3:
+        raise ValueError("effective rank %d is below 3" % ess.k)
+    n, k = ess.n, ess.k
+    alpha = comb(n, 2)
+    beta = sum(comb(size - 1, 2) for _, size in rank2_flats(ess))
+    b = [alpha - beta, 2 * alpha - n - 2 * beta, alpha - n - beta + 1]
+    b += [0] * (k - 3)
+    return BettiTable(n - 2, k, tuple(b))
+
+
+def b1_veronese(m, k: int, a: int, allow_any_fold: bool = False) -> int:
+    """Generator count for coordinate collections (x_1 x m_1, ..., x_k x m_k).
+
+    Inclusion-exclusion count of the degree-a monomials with per-variable
+    caps m_i.  The closed form is usually quoted for a >= max(m); pass
+    ``allow_any_fold`` to use it as a cross-check outside that range.
+    """
+    m = tuple(m)
+    if len(m) != k or any(v < 1 for v in m):
+        raise ValueError("need k positive caps")
+    if not 1 <= a <= sum(m):
+        raise ValueError("fold %d out of range 1..%d" % (a, sum(m)))
+    if a < max(m) and not allow_any_fold:
+        raise ValueError("fold %d below the largest cap %d" % (a, max(m)))
+    total = 0
+    for r in range(k + 1):
+        for subset in combinations(range(k), r):
+            shift = sum(m[i] + 1 for i in subset)
+            total += (-1) ** r * _comb0(a + k - 1 - shift, k - 1)
+    return total
+
+
+def b1_k3_veronese(m1: int, m2: int, m3: int, a: int) -> int:
+    """First Betti number of (x1 x m1, x2 x m2, x3 x m3) in the middle window."""
+    if not (m1 >= m2 >= m3 >= 1):
+        raise ValueError("caps must satisfy m1 >= m2 >= m3 >= 1")
+    if m1 < m3 + 2:
+        raise ValueError("need m1 >= m3 + 2")
+    if not (m3 + 1 <= a <= m2 + m3 and a <= m1 - 1):
+        raise ValueError("fold %d outside the window" % a)
+    n = m1 + m2 + m3
+    if a <= m2:
+        return (m3 + 1) * (a + 1) - comb(m3 + 1, 2)
+    return (
+        (a + 1) * (n - m1 - a + 1)
+        + (a - m2) * (m2 + 1)
+        + comb(a - m2, 2)
+        - comb(m3 + 1, 2)
+    )
+
+
+def b1_singular_line_arrangement(sigma: FormCollection) -> int:
+    """b_1 at fold n-m+1 for a line arrangement whose m-fold points are collinear.
+
+    m is the maximal number of concurrent lines and t counts the points
+    achieving it; the hypothesis is that those points all lie on one line of
+    the arrangement, checked via the rank-2 flats.
+    """
+    ess = essentialize(sigma)
+    if any(m != 1 for m in ess.multiplicities):
+        raise ValueError("arrangement must be simple (all multiplicities 1)")
+    if ess.k != 3:
+        raise ValueError("line arrangements live in effective rank 3")
+    flats = rank2_flats(ess)
+    m = flats[0][1]
+    max_flats = [set(flat) for flat, size in flats if size == m]
+    common = set.intersection(*max_flats)
+    if not common:
+        raise ValueError("modular points not collinear")
+    t = len(max_flats)
+    n = ess.n
+    return comb(n - m + 3, 2) - t
+
+
+def betti_k3_block(sigma: FormCollection, a: int) -> BettiTable:
+    """Rank-3 block elimination: peel the pivot group with all its copies.
+
+    Every contraction lands in rank 2 where the closed form applies, so one
+    recursion on the pivot-free collection plus a sum of rank-2 tables gives
+    the whole answer.  Folds that reach 0 contribute the unit ideal's (1,).
+    """
+    ess = essentialize(sigma)
+    k, n = ess.k, ess.n
+    if k > 3:
+        raise ValueError("block elimination expects effective rank <= 3")
+    if a > n:
+        return _zero_table(a, k)
+    if k <= 2:
+        return betti_rank2(ess, a)
+    m1 = ess.groups[0][1]
+    contracted = contract(ess, 0)
+    acc = [0, 0, 0]
+    for j in range(min(m1, a)):
+        fold = a - j
+        if contracted is not None and fold <= contracted.n:
+            tb = betti_rank2(contracted, fold)
+            for i in range(1, 4):
+                acc[i - 1] += _entry(tb, i) + _entry(tb, i - 1)
+    if m1 >= a:
+        acc[0] += 1
+    else:
+        rest = drop_group(ess, 0)
+        tail = betti_k3_block(rest, a - m1)
+        for i in range(1, 4):
+            acc[i - 1] += _entry(tail, i)
+    return BettiTable(a, 3, tuple(acc))
+
+
+def rank2_flats(sigma: FormCollection):
+    """Closed rank-2 sets of groups, with their size counted by multiplicity.
+
+    Each flat is the full set of groups lying in the 2-dimensional span of
+    some pair; returned as (sorted group-index tuple, size) ordered by
+    decreasing size then index.
+    """
+    if full_rank(sigma) < 2:
+        raise ValueError("effective rank must be at least 2")
+    forms, levels = _flats(sigma)
+    group_of = {coeffs: g for g, (coeffs, _) in enumerate(sigma.groups)}
+    sizes = _sizes(levels[2], _multiplicity_layers(sigma, forms))
+    sized = [
+        (tuple(sorted(group_of[c] for i, c in enumerate(forms) if flat >> i & 1)), size)
+        for flat, size in zip(levels[2], sizes)
+    ]
+    sized.sort(key=lambda fs: (-fs[1], fs[0]))
+    return sized
+
+
+def tutte_polynomial_subset_sum(sigma: FormCollection) -> TuttePoly:
+    """The subset-sum definition, as an independent cross-check (n <= 16)."""
+    n = sigma.n
+    if n > 16:
+        raise ValueError("subset-sum Tutte is limited to n <= 16")
+    cols = sigma.expanded_columns()
+    full = full_rank(sigma)
+    counts = {}
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            r = bareiss_rank([cols[i] for i in subset], sigma.p)
+            key = (full - r, size - r)
+            counts[key] = counts.get(key, 0) + 1
+    out = {}
+    for (ex, ey), mult in counts.items():
+        # expand (x-1)^ex * (y-1)^ey
+        for i in range(ex + 1):
+            ci = comb(ex, i) * (-1) ** (ex - i)
+            for j in range(ey + 1):
+                ij = (i, j)
+                v = out.get(ij, 0) + mult * ci * comb(ey, j) * (-1) ** (ey - j)
+                if v:
+                    out[ij] = v
+                elif ij in out:
+                    del out[ij]
+    return TuttePoly(out)

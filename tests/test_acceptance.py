@@ -12,13 +12,10 @@ from fractions import Fraction
 from math import comb
 
 from foldbetti import (
-    b1_k3_veronese,
-    b1_singular_line_arrangement,
     b1_tutte,
     b1_via_circuits,
     betti_cm_generic,
     betti_from_hilbert,
-    betti_nminus2_arrangement,
     betti_recursion,
     essentialize,
     height_of_fold_ideal,
@@ -32,6 +29,12 @@ from foldbetti import (
 from foldbetti.betti import is_generic
 
 from conftest import make_random_arrangement, make_random_collection
+from reference import (
+    b1_k3_veronese,
+    b1_singular_line_arrangement,
+    b1_veronese,
+    betti_nminus2_arrangement,
+)
 
 SEED = 0xF01DBE77
 
@@ -176,7 +179,6 @@ def test_criterion_08_closed_form_consistency():
         sigma = normalize([(e1, m1), (e2, m2), (e3, m3)], 3)
         assert b1_k3_veronese(m1, m2, m3, a) == hilbert_function(sigma, a, a), (m1, m2, m3, a)
         checked += 1
-    from foldbetti import b1_veronese
 
     checked = 0
     while checked < 50:

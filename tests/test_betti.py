@@ -5,36 +5,40 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from foldbetti import (
     BettiTable,
-    b1_k3_veronese,
-    b1_singular_line_arrangement,
     b1_tutte,
-    b1_veronese,
     betti_cm_generic,
     betti_from_b1_height_km1,
     betti_from_hilbert,
     betti_height1_reduce,
-    betti_k3_block,
     betti_maximal_power,
     betti_nminus1,
-    betti_nminus2_arrangement,
     betti_rank2,
     betti_recursion,
     compute_betti,
     essentialize,
+    hamming_weights,
     height_of_fold_ideal,
     herzog_kuhl_residuals,
     hilbert_function,
     normalize,
-    rank2_flats,
 )
 
 from foldbetti.betti import is_generic
 
 from conftest import gauss_rank, make_random_collection, raw_collections
+from reference import (
+    b1_k3_veronese,
+    b1_singular_line_arrangement,
+    b1_veronese,
+    betti_k3_block,
+    betti_nminus2_arrangement,
+    rank2_flats,
+)
 
 
 def count_capped_monomials(caps, a):
@@ -348,6 +352,45 @@ def test_scaling_leaves_tables_unchanged(example_2_5):
     assert scaled == example_2_5
     for a in (2, 4, 6):
         assert betti_recursion(scaled, a) == betti_recursion(example_2_5, a)
+
+
+@st.composite
+def collections_with_unimodular(draw):
+    """(k, raw forms, A): k <= 4, n <= 8, coefficients in +-2, and A in
+    GL_k(Z) as a product of elementary row operations."""
+    k = draw(st.integers(1, 4))
+    left = draw(st.integers(1, 8))
+    raw = []
+    while left:
+        m = draw(st.integers(1, min(left, 3)))
+        raw.append((draw(st.tuples(*[st.integers(-2, 2)] * k)), m))
+        left -= m
+    assume(any(any(c) for c, _ in raw))
+    matrix = [[int(i == j) for j in range(k)] for i in range(k)]
+    index = st.integers(0, k - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=3 * k)):
+        if i != j:
+            matrix[j] = [x + c * y for x, y in zip(matrix[j], matrix[i])]
+    if draw(st.booleans()):
+        matrix[0] = [-x for x in matrix[0]]
+    return k, raw, matrix
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=collections_with_unimodular())
+def test_coordinate_changes_leave_tables_and_weights_unchanged(case):
+    # x -> A x moves every form c to c A; an inert variable adds a zero column
+    k, raw, matrix = case
+    sigma = normalize(raw, k)
+    moved = normalize(
+        [(tuple(sum(c[i] * matrix[i][j] for i in range(k)) for j in range(k)), m) for c, m in raw], k
+    )
+    inert = normalize([(c + (0,), m) for c, m in raw], k + 1)
+    weights = hamming_weights(essentialize(sigma)).d
+    for other in (moved, inert):
+        assert hamming_weights(essentialize(other)).d == weights, other
+        for a in range(1, sigma.n + 1):
+            assert compute_betti(other, a) == compute_betti(sigma, a), (other, a)
 
 
 def test_method_agreement_small(rng):

@@ -274,9 +274,18 @@ def test_malformed_degrees_name_the_option(tmp_path, capsys, text):
         ("verify", ["--degrees", "3"]),
         ("height", ["--degrees", "3..4"]),
         ("tutte", ["--degrees", "3"]),
+        ("verify", ["--method", "oracle"]),
+        ("tutte", ["--method", "recursion"]),
+        ("hamming", ["--method", "auto"]),
+        ("height", ["--method", "tutte_hk"]),
+        ("hilbert", ["--method", "oracle"]),
+        ("tutte", ["--allow-trivial"]),
+        ("hamming", ["--allow-trivial"]),
     ],
     ids=["tutte-fold", "tutte-all-folds", "hamming-fold", "hamming-all-folds",
-         "betti-degrees", "verify-degrees", "height-degrees", "tutte-degrees"],
+         "betti-degrees", "verify-degrees", "height-degrees", "tutte-degrees",
+         "verify-method", "tutte-method", "hamming-method", "height-method",
+         "hilbert-method", "tutte-allow-trivial", "hamming-allow-trivial"],
 )
 def test_ignored_options_are_refused(tmp_path, capsys, command, option):
     path = write_instance(tmp_path)
@@ -381,12 +390,30 @@ def test_cell_limit_is_checked_before_any_command(tmp_path, capsys, monkeypatch,
     assert repr(value) in captured.err
 
 
-def run_child(args, timeout=5):
+def run_child(args, timeout=5, preexec_fn=None):
     """Run the CLI (or Python code, for ``-c``) in a fresh interpreter."""
     src = str(Path(foldbetti.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     head = [sys.executable] if args[0] == "-c" else [sys.executable, "-m", "foldbetti.cli"]
-    return subprocess.run(head + args, env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run(head + args, env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=preexec_fn)
+
+
+def test_main_out_of_memory_exits_3_without_traceback(tmp_path):
+    resource = pytest.importorskip("resource")
+    # listing 10^10 folds needs far more than the 400 MB address space the child gets
+    doc = {"k": 2, "forms": [{"coeffs": ["1", "0"], "mult": 10**10},
+                             {"coeffs": ["0", "1"], "mult": 1}]}
+    limit = 400 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    child = run_child(["betti", "--input", write_instance(tmp_path, doc), "--all-folds"],
+                      preexec_fn=cap_address_space)
+    assert child.returncode == 3
+    assert child.stdout == ""
+    assert child.stderr == "foldbetti: the computation ran out of memory\n"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -12,15 +12,15 @@ from foldbetti import (
     hamming_weights,
     height_of_fold_ideal,
     normalize,
-    rank2_flats,
     subset_rank,
     tutte_polynomial,
     tutte_shifted_coeffs,
 )
 from foldbetti.forms import canonical_coeffs
-from foldbetti.matroid import _flats, tutte_polynomial_subset_sum
+from foldbetti.matroid import _flats
 
 from conftest import gauss_rank, make_random_collection, raw_collections
+from reference import rank2_flats, tutte_polynomial_subset_sum
 
 # the shifted polynomial y^4+x^3+x^2y+xy^2+3y^3+6x^2+6xy+6y^2+13x+9y+8
 SHIFTED_2_5 = {

@@ -14,7 +14,6 @@ from foldbetti import (
     fold_generators,
     hilbert_function,
     normalize,
-    rank2_flats,
     relation_space,
 )
 from foldbetti import oracle
@@ -28,6 +27,7 @@ from conftest import (
     make_random_collection,
     raw_collections,
 )
+from reference import rank2_flats
 
 
 def distinct_polys(polys):
