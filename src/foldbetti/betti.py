@@ -10,7 +10,10 @@ method dispatcher.
 The dispatcher reads its base cases off the generalized Hamming weights
 d_1 < ... < d_k of the collection: they fix the height window of each
 fold, and (n-a)-genericity, on which the Cohen-Macaulay table rests, is
-one comparison against them (see :func:`is_generic`).
+one comparison against them (see :func:`is_generic`).  The weights and
+the effective rank are memoized per collection (in ``matroid`` and
+``forms``), so the closed forms that essentialize their argument and read
+d again cost a lookup, not an elimination, at every node and fold.
 
 Tables are reported with respect to the effective rank: inert variables
 change nothing, so collections are essentialized before computing.  The
@@ -166,6 +169,8 @@ def is_generic(sigma: FormCollection, h: int) -> bool:
     such a flat, so on the effective rank k genericity is
     d_{k-h+1} = n - h + 1.  No k + 1 columns are independent.
     """
+    if h < 1:
+        raise ValueError("genericity needs h >= 1, got h = %d" % h)
     ess = essentialize(sigma)
     k, n = ess.k, ess.n
     return h <= k and hamming_weights(ess).d[k - h] == n - h + 1

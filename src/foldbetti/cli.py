@@ -398,8 +398,10 @@ def main(argv=None) -> int:
         given = {"--fold": args.fold is not None, "--all-folds": args.all_folds,
                  "--method": args.method is not None, "--degrees": args.degrees is not None,
                  "--allow-trivial": args.allow_trivial}
-        on_folds = ("--fold", "--all-folds", "--allow-trivial")
-        takes = {"betti": on_folds + ("--method",), "verify": on_folds, "height": on_folds,
+        # only betti and verify have a zero ideal to report for a fold a > n
+        on_folds = ("--fold", "--all-folds")
+        trivial = on_folds + ("--allow-trivial",)
+        takes = {"betti": trivial + ("--method",), "verify": trivial, "height": on_folds,
                  "hilbert": on_folds + ("--degrees",), "tutte": (), "hamming": ()}
         for option in (o for o, on in given.items() if on):
             if option not in takes[args.command]:

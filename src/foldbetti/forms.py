@@ -17,6 +17,11 @@ build the identical object, which is what the memoized recursions key on.
 Deletion removes one copy of a form.  Contraction reduces every other form
 modulo a chosen form and drops one ambient variable; the chosen form's own
 copies vanish, and no other form does.
+
+The effective rank is memoized per collection, and :func:`essentialize`
+answers every full-rank collection from that memo.  Like the other memo
+tables, it behaves as a single logical map: concurrent callers may
+duplicate work, but never observe a torn entry.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
 
-from .exactlin import IntEchelon
+from .exactlin import IntEchelon, bareiss_rank
+
+_full_rank_cache = {}
 
 
 def canonical_coeffs(coeffs, p=None):
@@ -229,6 +236,16 @@ def contract(sigma: FormCollection, group_index: int):
     return normalize(images, sigma.k - 1, sigma.p)
 
 
+def full_rank(sigma: FormCollection) -> int:
+    """Rank of the whole coefficient matrix (the effective rank), memoized."""
+    r = _full_rank_cache.get(sigma)
+    if r is None:
+        # one form per group: copies never raise the rank
+        r = bareiss_rank([coeffs for coeffs, _ in sigma.groups], sigma.p)
+        _full_rank_cache[sigma] = r
+    return r
+
+
 def essentialize(sigma: FormCollection) -> FormCollection:
     """Rewrite the collection in coordinates for the span of its forms.
 
@@ -237,12 +254,16 @@ def essentialize(sigma: FormCollection) -> FormCollection:
     (hence every Betti number) is unchanged.  The kept coordinates are the
     leading columns of an echelon basis of the forms, which are the pivot
     columns of any echelon form of the coefficient matrix's transpose.
+
+    A full-rank collection, which is what the recursion asks about at every
+    node and fold, is its own essential form: the memoized :func:`full_rank`
+    answers it, and it comes back as the same object.
     """
+    if full_rank(sigma) == sigma.k:
+        return sigma
     ech = IntEchelon(sigma.k, sigma.p)
     for coeffs, _ in sigma.groups:
         ech.add(coeffs)
-        if ech.is_full():
-            return sigma
     pivots = sorted(ech.pivot_rows)
     raw = [(tuple(coeffs[c] for c in pivots), mult) for coeffs, mult in sigma.groups]
     return normalize(raw, len(pivots), sigma.p)

@@ -10,7 +10,10 @@ Hamming weights read one enumerator of the flats of the simple matroid
 is covers by projection: the forms outside a flat F are reduced modulo the
 span of F, and forms whose residues are proportional span one flat of the
 next rank with F.  The flats depend only on the set of forms, so they are
-memoized by it and weighted by each collection's multiplicities when read.
+memoized by it.  The weights count each flat with the collection's
+multiplicities, so they are memoized by the collection itself: the
+dispatcher reads them at every recursion node and fold, and each
+collection is weighted once.
 
 The memo tables behave as single logical maps: concurrent callers may
 duplicate work but dict reads/writes of immutable values are atomic, so no
@@ -24,21 +27,19 @@ from math import comb
 from operator import add
 
 from .exactlin import IntEchelon, bareiss_rank
-from .forms import FormCollection, FrozenRecord, canonical_coeffs, contract, drop_group, essentialize
+from .forms import (
+    FormCollection,
+    FrozenRecord,
+    canonical_coeffs,
+    contract,
+    drop_group,
+    essentialize,
+    full_rank,
+)
 
-_full_rank_cache = {}
 _flats_cache = {}
+_hamming_cache = {}
 _tutte_cache = {}
-
-
-def full_rank(sigma: FormCollection) -> int:
-    """Rank of the whole coefficient matrix (the effective rank)."""
-    r = _full_rank_cache.get(sigma)
-    if r is None:
-        # one form per group: copies never raise the rank
-        r = bareiss_rank([coeffs for coeffs, _ in sigma.groups], sigma.p)
-        _full_rank_cache[sigma] = r
-    return r
 
 
 def subset_rank(sigma: FormCollection, subset) -> int:
@@ -148,15 +149,20 @@ def hamming_weights(sigma: FormCollection) -> HammingWeights:
     d_r is n minus the most columns spanning at most k - r dimensions.  The
     optimum is a flat, and for a full-rank collection the largest flat of
     rank at most q has rank exactly q, so each d_r reads one level of
-    :func:`_flats`.
+    :func:`_flats`.  The weights are memoized per collection, which holds
+    the multiplicities that weight the flats.
     """
-    k = sigma.k
-    if full_rank(sigma) != k:
-        raise ValueError("collection must have full effective rank")
-    forms, levels = _flats(sigma)
-    layers = _multiplicity_layers(sigma, forms)
-    n = sigma.n
-    return HammingWeights(tuple(n - max(_sizes(levels[k - r], layers)) for r in range(1, k + 1)))
+    weights = _hamming_cache.get(sigma)
+    if weights is None:
+        k = sigma.k
+        if full_rank(sigma) != k:
+            raise ValueError("collection must have full effective rank")
+        forms, levels = _flats(sigma)
+        layers = _multiplicity_layers(sigma, forms)
+        n = sigma.n
+        weights = HammingWeights(tuple(n - max(_sizes(levels[k - r], layers)) for r in range(1, k + 1)))
+        _hamming_cache[sigma] = weights
+    return weights
 
 
 def height_of_fold_ideal(sigma: FormCollection, a: int) -> int:

@@ -20,6 +20,7 @@ from foldbetti import (
     betti_rank2,
     betti_recursion,
     compute_betti,
+    delete,
     essentialize,
     hamming_weights,
     height_of_fold_ideal,
@@ -30,7 +31,7 @@ from foldbetti import (
 
 from foldbetti.betti import is_generic
 
-from conftest import gauss_rank, make_random_collection, raw_collections
+from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections
 from reference import (
     b1_k3_veronese,
     b1_singular_line_arrangement,
@@ -197,6 +198,12 @@ def test_is_generic_matches_subset_scan(p, collection):
             assert is_generic(sigma, h) == brute_force_generic(sigma, h), (sigma, h)
 
 
+@pytest.mark.parametrize("h", [0, -1])
+def test_is_generic_refuses_h_below_one(example_2_5, h):
+    with pytest.raises(ValueError, match="h = %d" % h):
+        is_generic(example_2_5, h)
+
+
 def test_nminus2_arrangement_generic():
     generic = normalize([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 1), 1)], 3)
     assert betti_nminus2_arrangement(generic).b == (6, 8, 3)
@@ -355,9 +362,8 @@ def test_scaling_leaves_tables_unchanged(example_2_5):
 
 
 @st.composite
-def collections_with_unimodular(draw):
-    """(k, raw forms, A): k <= 4, n <= 8, coefficients in +-2, and A in
-    GL_k(Z) as a product of elementary row operations."""
+def small_collections(draw):
+    """(k, raw forms): k <= 4, n <= 8, multiplicities <= 3, coefficients in +-2."""
     k = draw(st.integers(1, 4))
     left = draw(st.integers(1, 8))
     raw = []
@@ -366,6 +372,14 @@ def collections_with_unimodular(draw):
         raw.append((draw(st.tuples(*[st.integers(-2, 2)] * k)), m))
         left -= m
     assume(any(any(c) for c, _ in raw))
+    return k, raw
+
+
+@st.composite
+def collections_with_unimodular(draw):
+    """(k, raw forms, A): a small collection and A in GL_k(Z) as a product
+    of elementary row operations."""
+    k, raw = draw(small_collections())
     matrix = [[int(i == j) for j in range(k)] for i in range(k)]
     index = st.integers(0, k - 1)
     for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=3 * k)):
@@ -391,6 +405,52 @@ def test_coordinate_changes_leave_tables_and_weights_unchanged(case):
         assert hamming_weights(essentialize(other)).d == weights, other
         for a in range(1, sigma.n + 1):
             assert compute_betti(other, a) == compute_betti(sigma, a), (other, a)
+
+
+@st.composite
+def collections_with_presentation(draw):
+    """(k, raw forms, other): a small collection and the same forms listed
+    in another order, each scaled by a nonzero rational."""
+    k, raw = draw(small_collections())
+    order = draw(st.permutations(range(len(raw))))
+    scale = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 5))
+    scales = draw(st.lists(scale, min_size=len(raw), max_size=len(raw)))
+    other = [(tuple(s * x for x in raw[i][0]), raw[i][1]) for i, s in zip(order, scales)]
+    return k, raw, other
+
+
+def essential_minors(sigma):
+    """The collection and each of its one-copy deletions, essentialized.
+
+    Deleting one copy of a form of multiplicity above 1 leaves the same set
+    of forms with other multiplicities.
+    """
+    minors = [sigma] + [m for m in (delete(sigma, i) for i in range(sigma.t)) if m is not None]
+    return [essentialize(m) for m in minors]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=collections_with_presentation())
+def test_reordering_and_rescaling_leave_tables_and_weights_unchanged(case):
+    # Cold memos on both sides, and every question asked in the opposite
+    # order: first the collection's weights, its deletions' and the folds
+    # upwards; then the deletions' weights, the folds downwards and the
+    # collection's weights.  A memo keyed on less than the whole collection
+    # (the forms without their multiplicities, say) answers one of the two
+    # runs with another collection's value.
+    k, raw, other = case
+    clear_memos()
+    sigma = normalize(raw, k)
+    weights = [hamming_weights(m).d for m in essential_minors(sigma)]
+    tables = [compute_betti(sigma, a) for a in range(1, sigma.n + 1)]
+    clear_memos()
+    moved = normalize(other, k)
+    minors = essential_minors(moved)
+    moved_weights = [hamming_weights(m).d for m in reversed(minors[1:])]
+    moved_tables = [compute_betti(moved, a) for a in range(moved.n, 0, -1)]
+    moved_weights.append(hamming_weights(minors[0]).d)
+    assert moved_weights[::-1] == weights, moved
+    assert moved_tables[::-1] == tables, moved
 
 
 def test_method_agreement_small(rng):

@@ -20,6 +20,8 @@ from foldbetti.cli import (
     to_collection,
 )
 
+from conftest import clear_memos
+
 EXAMPLE_2_5 = {
     "field": "rational",
     "k": 3,
@@ -31,6 +33,23 @@ EXAMPLE_2_5 = {
         {"coeffs": ["1", "0", "-1"], "mult": 1},
         {"coeffs": ["0", "1", "1"], "mult": 1},
         {"coeffs": ["1", "2", "5"], "mult": 1},
+    ],
+}
+
+
+# k = 4, n = 27 in seven groups: the multiplicity-heavy shape where the
+# recursion meets the same collections at many nodes and folds
+MULTIPLICITY_HEAVY = {
+    "field": "rational",
+    "k": 4,
+    "forms": [
+        {"coeffs": ["1", "0", "0", "0"], "mult": 6},
+        {"coeffs": ["0", "1", "0", "0"], "mult": 5},
+        {"coeffs": ["0", "0", "1", "0"], "mult": 4},
+        {"coeffs": ["0", "0", "0", "1"], "mult": 4},
+        {"coeffs": ["1", "1", "1", "1"], "mult": 3},
+        {"coeffs": ["1", "2", "-3", "5"], "mult": 3},
+        {"coeffs": ["2", "-1", "4", "-7"], "mult": 2},
     ],
 }
 
@@ -215,12 +234,38 @@ def test_fold_and_all_folds_are_exclusive(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["height", "hilbert"])
 def test_allow_trivial_is_named_only_where_it_applies(tmp_path, capsys, command):
-    # height and hilbert never take a fold a > n, flag or no flag
+    # height and hilbert never take a fold a > n, so no hint names the flag
     path = write_instance(tmp_path)
-    assert main([command, "--input", path, "--fold", "9", "--allow-trivial"]) == 1
+    assert main([command, "--input", path, "--fold", "9"]) == 1
     err = capsys.readouterr().err
     assert "fold 9 exceeds n = 7" in err
     assert "--allow-trivial" not in err
+    # and the flag itself, which they would ignore, is refused
+    assert main([command, "--input", path, "--fold", "9", "--allow-trivial"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "foldbetti: %s does not take --allow-trivial\n" % command
+
+
+def test_all_folds_weight_each_collection_once(tmp_path, capsys, monkeypatch):
+    # the Hamming weights are memoized per collection, multiplicities included,
+    # so each essentialized collection the recursion meets is weighted once
+    from foldbetti import matroid
+
+    weighted = []
+    layers = matroid._multiplicity_layers
+
+    def counted(sigma, forms):
+        weighted.append(sigma)
+        return layers(sigma, forms)
+
+    clear_memos()
+    monkeypatch.setattr(matroid, "_multiplicity_layers", counted)
+    path = write_instance(tmp_path, MULTIPLICITY_HEAVY)
+    assert main(["betti", "--input", path, "--all-folds", "--json"]) == 0
+    capsys.readouterr()
+    assert len(weighted) > 27
+    assert len(weighted) == len(set(weighted))
 
 
 def test_main_text_output(tmp_path, capsys):
