@@ -227,9 +227,8 @@ def run(
             degrees = range(a, a + sigma.k)
         if not degrees:
             raise CommandError("the degree range is empty")
-        bad = [d for d in degrees if d < a]
-        if bad:
-            raise CommandError("degree %d is below the fold %d" % (bad[0], a))
+        if degrees[0] < a:  # the range ascends: one look, however long it is
+            raise CommandError("degree %d is below the fold %d" % (degrees[0], a))
         data["hilbert"] = hf_report(sigma, a, degrees).to_json_dict()
     elif command == "verify":
         folds = _resolve_folds(command, folds, n, allow_trivial)

@@ -13,9 +13,8 @@ that every trace is deterministic:
 
 - :func:`bareiss_rank` for the many small one-shot ranks of the matroid
   layer;
-- :class:`IntEchelon` for dense rows added one at a time, and for residues
-  modulo a span (the matroid layer's flat enumerator).  The Hilbert oracle
-  keeps one per degree: it reads the stored ``pivot_rows`` of degree d,
+- :class:`IntEchelon` for dense rows added one at a time.  The Hilbert
+  oracle keeps one per degree: it reads the stored ``pivot_rows`` of degree d,
   shifts each by x_1..x_k into a fresh one for degree d + 1, and stops at
   full column rank; circuit dependencies read the pivot rows too;
 - :class:`SparseIntEchelon` for sparse rows (the circuit-relation space).
@@ -97,64 +96,38 @@ class IntEchelon:
     def rank(self):
         return len(self.pivot_rows)
 
-    def reduce(self, row):
-        """``row`` with every pivot column cleared, as a new list.
-
-        The result is a nonzero multiple of the one vector that differs from
-        ``row`` by an element of the span and vanishes on the pivot columns,
-        so two rows have proportional residues exactly when they are
-        proportional modulo the span.  Over the integers it is primitive.
-        """
-        return self._reduce(row, False)[0]
-
     def add(self, row) -> bool:
-        """Reduce ``row`` against the basis; returns True if rank grew."""
-        row, lead = self._reduce(row, True)
-        if lead is None:
-            return False
-        self.pivot_rows[lead] = row
-        return True
+        """Reduce ``row`` against the basis; returns True if rank grew.
 
-    def _reduce(self, row, stop_at_lead):
-        """(reduced row, its first nonzero column without a pivot or None).
-
-        With ``stop_at_lead`` the pivots right of that column are not
-        cleared: ``add`` needs no more, and the Hilbert oracle adds many
-        rows that grow the rank.  Each update scales the whole row,
-        including the nonzero columns left of the pivot that have no pivot
-        of their own.
+        Pivots are cleared only up to the row's first nonzero column without
+        one, which becomes the row's own pivot.
         """
         width, p = self.width, self.p
         row = list(row) if p is None else [x % p for x in row]
         pivot_rows = self.pivot_rows
-        lead = None
         for c in range(width):
             v = row[c]
             if v == 0:
                 continue
             piv = pivot_rows.get(c)
             if piv is None:
-                if lead is None:
-                    lead = c
-                    if stop_at_lead:
-                        break
-                continue
+                if p is None:
+                    g = _primitive(row)
+                    if g > 1:
+                        row = [x // g for x in row]
+                pivot_rows[c] = row
+                return True
             pv = piv[c]
-            start = c if lead is None else lead
             if p is None:
-                for j in range(start, width):
+                for j in range(c, width):
                     row[j] = pv * row[j] - v * piv[j]
                 g = _primitive(row)
                 if g > 1:
                     row = [x // g for x in row]
             else:
-                for j in range(start, width):
+                for j in range(c, width):
                     row[j] = (pv * row[j] - v * piv[j]) % p
-        if p is None and lead is not None:
-            g = _primitive(row)
-            if g > 1:
-                row = [x // g for x in row]
-        return row, lead
+        return False
 
     def is_full(self):
         return len(self.pivot_rows) == self.width

@@ -15,7 +15,8 @@ canonical scale of every form on construction, so equal inputs always
 build the identical object, which is what the memoized recursions key on.
 
 Deletion removes one copy of a form.  Contraction reduces every other form
-modulo a chosen form and drops one ambient variable; the chosen form's own
+modulo a chosen form and drops one ambient variable (:func:`images_modulo`,
+which the flat enumerator in ``matroid`` shares); the chosen form's own
 copies vanish, and no other form does.
 
 The effective rank is memoized per collection, and :func:`essentialize`
@@ -214,26 +215,33 @@ def drop_group(sigma: FormCollection, group_index: int):
     return FormCollection(sigma.k, tuple(groups), sigma.p)
 
 
+def images_modulo(ell, forms):
+    """The images of ``forms`` modulo the form ``ell``, in one fewer variable.
+
+    With j the first nonzero coordinate of ``ell``, each image is the
+    cross-multiplied ``ell[j] * f - f[j] * ell`` with coordinate j dropped.
+    This linear map has kernel the line of ``ell``, so two forms have
+    proportional images exactly when they are proportional modulo ``ell``.
+    Images are integer lists, not yet reduced mod p or brought to scale.
+    """
+    j = next(i for i, x in enumerate(ell) if x)
+    lj, rest = ell[j], [(i, x) for i, x in enumerate(ell) if i != j]
+    return [[lj * f[i] - fj * x for i, x in rest] for f in forms for fj in (f[j],)]
+
+
 def contract(sigma: FormCollection, group_index: int):
     """Reduce the other forms modulo the chosen form, in one fewer variable.
 
-    Each image is the cross-multiplied ``ell[j] * f - f[j] * ell`` with the
-    pivot coordinate j dropped; normalizing reduces it mod p over GF(p).
-    Returns the images of the other groups, or None when there are none.
+    The images come from :func:`images_modulo`; normalizing reduces them
+    mod p over GF(p).  Returns them, or None when no other group is left.
     Every image is nonzero, because no other group is proportional to the
     chosen one, so the result holds n minus the chosen multiplicity forms.
     """
-    ell = sigma.groups[group_index][0]
-    j = next(i for i, x in enumerate(ell) if x != 0)
-    lj = ell[j]
-    images = []
-    for gi, (f, mult) in enumerate(sigma.groups):
-        if gi != group_index:
-            fj = f[j]
-            images.append(([lj * f[i] - fj * ell[i] for i in range(len(f)) if i != j], mult))
-    if not images:
+    others = sigma.groups[:group_index] + sigma.groups[group_index + 1 :]
+    if not others:
         return None
-    return normalize(images, sigma.k - 1, sigma.p)
+    images = images_modulo(sigma.groups[group_index][0], [f for f, _ in others])
+    return normalize(zip(images, [m for _, m in others]), sigma.k - 1, sigma.p)
 
 
 def full_rank(sigma: FormCollection) -> int:

@@ -7,8 +7,9 @@ memoized deletion-contraction.
 
 Hamming weights read one enumerator of the flats of the simple matroid
 (one element per group), built rank by rank from the empty flat.  Its rule
-is covers by projection: the forms outside a flat F are reduced modulo the
-span of F, and forms whose residues are proportional span one flat of the
+is covers by contraction: the forms outside a flat F are reduced modulo the
+span of F, giving the contraction M/F with ``contract``'s cross-multiplied
+formula, and forms whose residues are proportional span one flat of the
 next rank with F.  The flats depend only on the set of forms, so they are
 memoized by it.  The weights count each flat with the collection's
 multiplicities, so they are memoized by the collection itself: the
@@ -26,7 +27,7 @@ from itertools import combinations
 from math import comb
 from operator import add
 
-from .exactlin import IntEchelon, bareiss_rank
+from .exactlin import bareiss_rank
 from .forms import (
     FormCollection,
     FrozenRecord,
@@ -35,6 +36,7 @@ from .forms import (
     drop_group,
     essentialize,
     full_rank,
+    images_modulo,
 )
 
 _flats_cache = {}
@@ -78,18 +80,18 @@ def _flats(sigma):
     Returns (forms, levels): ``forms`` is the sorted tuple of coefficient
     tuples, and ``levels[r]`` holds every flat of rank r as a bit mask over
     ``forms``.  Each flat F below the top two levels keeps the canonical
-    residues modulo F of the forms outside it; forms with equal residues
-    span one flat of rank r + 1 with F, so the classes of equal residues
-    are the covers of F.  A residue vanishes on the pivot columns of F, so
-    reducing it against the one new residue gives the residue modulo the
-    cover.  The top level is every form.
+    residues of the forms outside it, which represent the contraction M/F;
+    forms with equal residues span one flat of rank r + 1 with F, so the
+    classes of equal residues are the covers of F.  A cover's residues are
+    those of F taken modulo the class's residue, by ``contract``'s formula
+    (:func:`images_modulo`).  The top level is every form.
     """
     forms = tuple(sorted(coeffs for coeffs, _ in sigma.groups))
     key = (forms, sigma.p)
     cached = _flats_cache.get(key)
     if cached is not None:
         return cached
-    k, p = sigma.k, sigma.p
+    p = sigma.p
     rank = full_rank(sigma)
     levels = [(0,)]
     frontier = {0: dict(enumerate(forms))}
@@ -105,13 +107,9 @@ def _flats(sigma):
                 if r == rank - 1:
                     covers[cover] = None
                     continue
-                ech = IntEchelon(k, p)
-                ech.add(residue)
-                covers[cover] = {
-                    i: canonical_coeffs(ech.reduce(other), p)
-                    for i, other in residues.items()
-                    if not cover >> i & 1
-                }
+                outside = [i for i in residues if not cover >> i & 1]
+                images = images_modulo(residue, [residues[i] for i in outside])
+                covers[cover] = {i: canonical_coeffs(im, p) for i, im in zip(outside, images)}
         levels.append(tuple(covers))
         frontier = covers
     levels.append(((1 << len(forms)) - 1,))

@@ -101,14 +101,16 @@ def fold_generators(sigma: FormCollection, a: int):
 
 
 def _check_cells(sigma: FormCollection, a: int, d: int):
-    """Refuse degree d when the plain generator-times-monomial matrix would
-    exceed the cell limit (a conservative size for the incremental chain)."""
-    rows = comb(sigma.n, a) * len(monomial_basis(sigma.k, d - a))
-    cols = len(monomial_basis(sigma.k, d))
-    if rows * cols > _cell_limit():
-        raise OracleLimitError(
-            "Hilbert matrix would have %d x %d cells; limit is %d" % (rows, cols, _cell_limit())
-        )
+    """Refuse degree d below the fold a, or when the plain
+    generator-times-monomial matrix, sized by binomials, would exceed the
+    cell limit (a conservative size for the incremental chain)."""
+    if d < a:
+        raise ValueError("degree %d below generation degree %d" % (d, a))
+    k, limit = sigma.k, _cell_limit()
+    rows = comb(sigma.n, a) * comb(k - 1 + d - a, k - 1)
+    cols = comb(k - 1 + d, k - 1)
+    if rows * cols > limit:
+        raise OracleLimitError("Hilbert matrix would have %d x %d cells; limit is %d" % (rows, cols, limit))
 
 
 def hilbert_function(sigma: FormCollection, a: int, d: int) -> int:
@@ -119,8 +121,6 @@ def hilbert_function(sigma: FormCollection, a: int, d: int) -> int:
     shifted by the index map from exponent m to m + e_i (I_{e+1} = S_1 * I_e).
     Once a degree is full, dim S_d is returned without building more rows.
     """
-    if d < a:
-        raise ValueError("degree %d below generation degree %d" % (d, a))
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
     _check_cells(sigma, a, d)
@@ -151,22 +151,22 @@ def betti_from_hilbert(sigma: FormCollection, a: int) -> BettiTable:
     """Betti table recovered degree by degree from exact Hilbert values.
 
     b_1 is HF at the generation degree; each later b_i is an alternating
-    binomial combination of earlier ones plus the next HF value.  Once a
-    degree comes back full, the later values are dim S_d and are not
-    computed, though each degree still passes the cell limit.  A negative
-    intermediate would contradict the linearity of the resolution, so it is
-    reported as an error rather than clamped.
+    binomial combination of earlier ones plus the next HF value.  Every
+    degree passes the cell limit before any is computed.  Once a degree
+    comes back full, the later values are dim S_d and are not computed.  A
+    negative intermediate would contradict the linearity of the resolution,
+    so it is reported as an error rather than clamped.
     """
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
     ess = essentialize(sigma)
     k = ess.k
+    for d in range(a, a + k):
+        _check_cells(ess, a, d)
     b, full = [], False
     for i in range(1, k + 1):
         d = a + i - 1
-        dim = len(monomial_basis(k, d))
-        if full:
-            _check_cells(ess, a, d)
+        dim = comb(k - 1 + d, k - 1)
         hf = dim if full else hilbert_function(ess, a, d)
         full = hf == dim
         v = (-1) ** (i - 1) * hf
@@ -188,6 +188,9 @@ class HFReport(Record):
 
 
 def hf_report(sigma: FormCollection, a: int, degrees) -> HFReport:
+    """HF at each degree; every degree passes the cell limit, in order, first."""
+    for d in degrees:
+        _check_cells(sigma, a, d)
     return HFReport(a, {d: hilbert_function(sigma, a, d) for d in degrees})
 
 

@@ -444,6 +444,26 @@ def run_child(args, timeout=5, preexec_fn=None):
                           timeout=timeout, preexec_fn=preexec_fn)
 
 
+@pytest.mark.parametrize(
+    "degrees, message",
+    [
+        ("1..100000000000", "degree 1 is below the fold 2"),
+        # degree 1291 is the first whose plain matrix, 3 * 1290 rows by 1292
+        # columns, passes the default limit of five million cells
+        ("3..100000000000", "Hilbert matrix would have 3870 x 1292 cells; limit is 5000000"),
+    ],
+    ids=["below-fold", "over-limit"],
+)
+def test_huge_hilbert_degree_range_is_refused_at_once(tmp_path, monkeypatch, degrees, message):
+    monkeypatch.delenv("FOLDBETTI_ORACLE_CELL_LIMIT", raising=False)
+    doc = {"k": 2, "forms": [{"coeffs": c, "mult": 1} for c in (["1", "0"], ["0", "1"], ["1", "1"])]}
+    child = run_child(["hilbert", "--input", write_instance(tmp_path, doc), "--fold", "2",
+                       "--degrees", degrees])
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr == "foldbetti: %s\n" % message
+
+
 def test_main_out_of_memory_exits_3_without_traceback(tmp_path):
     resource = pytest.importorskip("resource")
     # listing 10^10 folds needs far more than the 400 MB address space the child gets

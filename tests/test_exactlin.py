@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldbetti.exactlin import IntEchelon, SparseIntEchelon, bareiss_rank
-from foldbetti.forms import FormCollection, canonical_coeffs, normalize
+from foldbetti.forms import FormCollection, canonical_coeffs, images_modulo, normalize
 from foldbetti.oracle import circuit_dependency
 
 from conftest import gauss_rank
@@ -188,16 +188,6 @@ def test_engines_agree_with_reference(p):
         assert dense.is_full() == (expected == len(rows[0]))
 
 
-def test_reduce_scales_columns_left_of_a_pivot():
-    # pivots at columns 0 and 2; column 1 of the row has none of its own
-    ech = IntEchelon(4)
-    ech.add((1, 0, 0, 0))
-    ech.add((0, 0, 2, 1))
-    row = (0, 1, 1, 0)
-    assert ech.reduce(row) == [0, 2, 0, -1]
-    assert ech.pivot_rows == {0: [1, 0, 0, 0], 2: [0, 0, 2, 1]}
-
-
 @pytest.mark.parametrize("p", [None, 101, 3])
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(
@@ -206,14 +196,21 @@ def test_reduce_scales_columns_left_of_a_pivot():
     w=st.tuples(*[st.integers(-2, 2)] * 4),
 )
 def test_residues_match_rank_modulo_the_span(p, basis, u, w):
-    ech = IntEchelon(4, p)
-    for row in basis:
-        ech.add(row)
+    # reduce modulo each basis vector's running image in turn, as the flat
+    # enumerator does cover by cover; None marks a vanished image
     r = gauss_rank(basis, p)
-    assert ech.rank == r
-    ru, rw = ech.reduce(u), ech.reduce(w)
-    assert all(ru[c] == 0 for c in ech.pivot_rows)
-    assert any(ru) == (gauss_rank(basis + [u], p) > r)
-    if any(ru) and any(rw):
-        same = canonical_coeffs(ru, p) == canonical_coeffs(rw, p)
-        assert same == (gauss_rank(basis + [u, w], p) == r + 1)
+    vectors = [canonical_coeffs(v, p) for v in [u, w] + basis]
+    steps = 0
+    for i in range(2, len(vectors)):
+        ell = vectors[i]
+        if ell is None:
+            continue
+        steps += 1
+        live = [j for j, v in enumerate(vectors) if v is not None]
+        for j, image in zip(live, images_modulo(ell, [vectors[j] for j in live])):
+            vectors[j] = canonical_coeffs(image, p)
+    assert steps == r
+    ru, rw = vectors[:2]
+    assert (ru is not None) == (gauss_rank(basis + [u], p) > r)
+    if ru is not None and rw is not None:
+        assert (ru == rw) == (gauss_rank(basis + [u, w], p) == r + 1)

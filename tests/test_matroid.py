@@ -220,7 +220,7 @@ def test_flats_and_hamming_match_brute_force_over_q(collection):
     check_against_brute_force(normalize(raw, k))
 
 
-@pytest.mark.parametrize("p", [101, 10007])
+@pytest.mark.parametrize("p", [3, 101, 10007])
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(collection=raw_collections)
 def test_flats_and_hamming_match_brute_force_over_gf_p(p, collection):
