@@ -15,6 +15,7 @@ from .betti import (
     betti_nminus1,
     betti_rank2,
     betti_recursion,
+    betti_tutte,
     compute_betti,
     herzog_kuhl_residuals,
 )

@@ -1,24 +1,32 @@
 """Betti numbers of fold-product ideals.
 
 All ideals here have linear graded free resolutions, so the full homological
-story is the vector (b_1, ..., b_k).  This module implements the closed
-forms the dispatcher calls (maximal power, Cohen-Macaulay generic, a = n-1,
-rank-2, Tutte-based first Betti number with Herzog-Kuhl closure), the
-deletion-contraction recursion that reduces everything to rank 2, and the
-method dispatcher.
+story is the vector (b_1, ..., b_k).  This module computes it two ways.
 
-The dispatcher reads its base cases off the generalized Hamming weights
-d_1 < ... < d_k of the collection: they fix the height window of each
-fold, and (n-a)-genericity, on which the Cohen-Macaulay table rests, is
-one comparison against them (see :func:`is_generic`).  The weights and
-the effective rank are memoized per collection (in ``matroid`` and
-``forms``), so the closed forms that essentialize their argument and read
-d again cost a lookup, not an elimination, at every node and fold.
+:func:`betti_tutte` reads every fold's table off one Tutte polynomial.  With
+z marking the fold and w the homological index, the recursion's rule
+b(Sigma, a) = b(Sigma - e, a-1) + b(Sigma/e, a) + b(Sigma/e, a) shifted one
+step in i is a Tutte-Grothendieck deletion-contraction: deletion weighs z,
+contraction 1+w, a coloop x0 = z+1+w (Sigma - e and Sigma/e are then one
+matroid) and a loop y0 = 1 (a zero form changes no product ideal).  I_0 = S
+fixes the a = 0 term, so for Sigma essential of rank k with n forms and
+F = 1 + sum_{a>=1} sum_i b_i(a) z^a w^(i-1) the recipe theorem (Brylawski,
+Trans. AMS 1972; Brylawski and Oxley, "The Tutte polynomial and its
+applications", 1992) gives
 
-Tables are reported with respect to the effective rank: inert variables
-change nothing, so collections are essentialized before computing.  The
-recursion memo is keyed by (canonical collection, fold), which is all a
-table depends on; concurrent callers may duplicate work but always read
+    (z+w) F = w + z^(n-k+1) (1+w)^k T((z+1+w)/(1+w), 1/z).
+
+With s[u, j] the coefficient of x^u y^j in T(x+1, y), expanding 1/(z+w) at
+z = infinity gives b_i(a) = sum_{m<i} (-1)^m sum_u s[u, n-k+u-a-m] C(k-u, i-1-m).
+
+:func:`betti_recursion` is the independent route: deletion-contraction down
+to closed forms (maximal power, rank 2, height-1 reduction, a = n, a = n-1,
+Cohen-Macaulay generic, a Herzog-Kuhl solve from the Tutte b_1), chosen by
+the generalized Hamming weights d_1 < ... < d_k.  Weights, effective rank
+and T are memoized per collection (``matroid``, ``forms``).  Tables are
+reported for the effective rank, so collections are essentialized first;
+the recursion memo is keyed by (canonical collection, fold), which is all a
+table depends on.  Concurrent callers may duplicate work but always read
 complete immutable tables.
 """
 
@@ -35,12 +43,7 @@ from .forms import (
     normalize,
     reduction_data,
 )
-from .matroid import (
-    hamming_weights,
-    height_of_fold_ideal,
-    tutte_polynomial,
-    tutte_shifted_coeffs,
-)
+from .matroid import hamming_weights, height_of_fold_ideal, tutte_polynomial
 
 METHODS = ("auto", "recursion", "tutte_hk", "oracle")
 
@@ -96,14 +99,29 @@ def _unit_table(a, k):
     return BettiTable(a, k, (1,) + (0,) * (k - 1))
 
 
-def b1_tutte(sigma: FormCollection, a: int) -> int:
-    """First Betti number as a coefficient sum of T(x+1, y)."""
-    if not 1 <= a <= sigma.n:
-        raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
+def betti_tutte(sigma: FormCollection, a: int) -> BettiTable:
+    """The whole table at fold ``a`` from T(x+1, y) (module docstring).
+
+    A fold reads only s[u, n-k+u-a-m] for u <= k and m < k, so those are
+    expanded from T's coefficients, not all of T(x+1, y) at every fold.
+    """
     ess = essentialize(sigma)
     k, n = ess.k, ess.n
-    shifted = tutte_shifted_coeffs(tutte_polynomial(ess))
-    return sum(shifted.get((k - u, n - a - u), 0) for u in range(min(k, n - a) + 1))
+    if not 1 <= a <= n:
+        raise ValueError("fold %d out of range 1..%d" % (a, n))
+    t = tutte_polynomial(ess).coeffs
+    s = [[sum(comb(v, u) * t.get((v, n - k + u - a - m), 0) for v in range(u, k + 1))
+          for m in range(k)] for u in range(k + 1)]
+    b = tuple(
+        sum((-1) ** m * s[u][m] * comb(k - u, i - 1 - m) for m in range(i) for u in range(k + 1))
+        for i in range(1, k + 1)
+    )
+    return BettiTable(a, k, b)
+
+
+def b1_tutte(sigma: FormCollection, a: int) -> int:
+    """First Betti number, the first entry of :func:`betti_tutte`."""
+    return betti_tutte(sigma, a).b[0]
 
 
 def betti_maximal_power(k: int, a: int) -> BettiTable:
@@ -265,17 +283,20 @@ def _recursion_dispatch(ess, a):
 def compute_betti(sigma: FormCollection, a: int, method: str = "auto") -> BettiTable:
     """Betti table by the requested method.
 
-    ``auto`` dispatches the recursion and accepts a > n (zero table);
-    ``recursion`` is the same engine with 1 <= a <= n enforced;
-    ``tutte_hk`` closes the table from the Tutte b_1 where the height
-    window allows; ``oracle`` delegates to the Hilbert-function engine.
+    ``auto`` sends a > n (zero table) and effective rank <= 2 to the
+    recursion's closed forms and reads every other fold off T, as
+    ``tutte_hk`` does for every 1 <= a <= n; ``recursion`` enforces
+    1 <= a <= n; ``oracle`` delegates to the Hilbert-function engine.
     """
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     if a < 1:
         raise ValueError("fold must be at least 1")
     if method == "auto":
-        return betti_recursion(sigma, a)
+        ess = essentialize(sigma)
+        if a > ess.n or ess.k <= 2:
+            return betti_recursion(ess, a)
+        return betti_tutte(ess, a)
     if a > sigma.n:
         raise ValueError("fold %d exceeds n = %d" % (a, sigma.n))
     if method == "recursion":
@@ -284,21 +305,4 @@ def compute_betti(sigma: FormCollection, a: int, method: str = "auto") -> BettiT
         from .oracle import betti_from_hilbert
 
         return betti_from_hilbert(sigma, a)
-    return _tutte_hk_table(sigma, a)
-
-
-def _tutte_hk_table(sigma, a):
-    ess = essentialize(sigma)
-    k = ess.k
-    if k == 1:
-        return BettiTable(a, 1, (1,))
-    d = hamming_weights(ess).d
-    if a <= d[0]:
-        return betti_maximal_power(k, a)
-    if a <= d[1]:
-        return betti_from_b1_height_km1(k, a, b1_tutte(ess, a))
-    if k == 3:
-        e = reduction_data(ess, a).e
-        b1 = b1_tutte(ess, a)
-        return BettiTable(a, 3, (b1, 2 * b1 - e - 2, b1 - e - 1))
-    raise ValueError("height window unsupported")
+    return betti_tutte(sigma, a)

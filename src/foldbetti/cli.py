@@ -254,15 +254,10 @@ def _verify_fold(sigma, ess, a, n):
     reference = compute_betti(sigma, a, "recursion")
     methods["recursion"] = reference.to_json_dict()
     disagreements = []
-    try:
-        t = compute_betti(sigma, a, "tutte_hk")
-        methods["tutte_hk"] = t.to_json_dict()
-        if t != reference:
-            disagreements.append("tutte_hk")
-    except ValueError as exc:
-        if "height window" not in str(exc):
-            raise
-        methods["tutte_hk"] = {"skipped": str(exc)}
+    t = compute_betti(sigma, a, "tutte_hk")
+    methods["tutte_hk"] = t.to_json_dict()
+    if t != reference:
+        disagreements.append("tutte_hk")
     try:
         o = betti_from_hilbert(sigma, a)
         methods["oracle"] = o.to_json_dict()

@@ -344,12 +344,15 @@ def test_tutte_hk_full_k3_coverage(example_2_5):
         assert compute_betti(example_2_5, a, "tutte_hk") == betti_recursion(example_2_5, a)
 
 
-def test_tutte_hk_window_error():
+def test_tutte_hk_covers_every_fold():
+    # folds 3..6 lie below height k - 1 = 3, where b_1 and the Herzog-Kuhl
+    # equations alone do not close the table
     sigma = normalize(
         [((1, 0, 0, 0), 3), ((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1)], 4
     )
-    with pytest.raises(ValueError, match="height window"):
-        compute_betti(sigma, 3, "tutte_hk")
+    assert [height_of_fold_ideal(sigma, a) for a in range(3, 7)] == [2, 1, 1, 1]
+    for a in range(1, 7):
+        assert compute_betti(sigma, a, "tutte_hk") == betti_recursion(sigma, a), a
 
 
 def test_scaling_leaves_tables_unchanged(example_2_5):
@@ -375,6 +378,22 @@ def small_collections(draw):
     return k, raw
 
 
+@pytest.mark.parametrize("p", [None, 3, 5, 101])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=small_collections())
+def test_tutte_formula_matches_recursion_and_oracle(p, case):
+    # every fold's table off T(x+1, y) against deletion-contraction, and
+    # over Q on small instances against the Hilbert-function oracle
+    k, raw = case
+    sigma = normalize(raw, k, p)
+    small = p is None and k <= 3 and sigma.n <= 6
+    for a in range(1, sigma.n + 1):
+        table = compute_betti(sigma, a, "tutte_hk")
+        assert table == betti_recursion(sigma, a), (sigma, a)
+        if small:
+            assert table == betti_from_hilbert(sigma, a), (sigma, a)
+
+
 @st.composite
 def collections_with_unimodular(draw):
     """(k, raw forms, A): a small collection and A in GL_k(Z) as a product
@@ -390,9 +409,10 @@ def collections_with_unimodular(draw):
     return k, raw, matrix
 
 
+@pytest.mark.parametrize("method", ["auto", "recursion"])
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(case=collections_with_unimodular())
-def test_coordinate_changes_leave_tables_and_weights_unchanged(case):
+def test_coordinate_changes_leave_tables_and_weights_unchanged(method, case):
     # x -> A x moves every form c to c A; an inert variable adds a zero column
     k, raw, matrix = case
     sigma = normalize(raw, k)
@@ -404,7 +424,7 @@ def test_coordinate_changes_leave_tables_and_weights_unchanged(case):
     for other in (moved, inert):
         assert hamming_weights(essentialize(other)).d == weights, other
         for a in range(1, sigma.n + 1):
-            assert compute_betti(other, a) == compute_betti(sigma, a), (other, a)
+            assert compute_betti(other, a, method) == compute_betti(sigma, a, method), (other, a)
 
 
 @st.composite
@@ -429,9 +449,10 @@ def essential_minors(sigma):
     return [essentialize(m) for m in minors]
 
 
+@pytest.mark.parametrize("method", ["auto", "recursion"])
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(case=collections_with_presentation())
-def test_reordering_and_rescaling_leave_tables_and_weights_unchanged(case):
+def test_reordering_and_rescaling_leave_tables_and_weights_unchanged(method, case):
     # Cold memos on both sides, and every question asked in the opposite
     # order: first the collection's weights, its deletions' and the folds
     # upwards; then the deletions' weights, the folds downwards and the
@@ -442,12 +463,12 @@ def test_reordering_and_rescaling_leave_tables_and_weights_unchanged(case):
     clear_memos()
     sigma = normalize(raw, k)
     weights = [hamming_weights(m).d for m in essential_minors(sigma)]
-    tables = [compute_betti(sigma, a) for a in range(1, sigma.n + 1)]
+    tables = [compute_betti(sigma, a, method) for a in range(1, sigma.n + 1)]
     clear_memos()
     moved = normalize(other, k)
     minors = essential_minors(moved)
     moved_weights = [hamming_weights(m).d for m in reversed(minors[1:])]
-    moved_tables = [compute_betti(moved, a) for a in range(moved.n, 0, -1)]
+    moved_tables = [compute_betti(moved, a, method) for a in range(moved.n, 0, -1)]
     moved_weights.append(hamming_weights(minors[0]).d)
     assert moved_weights[::-1] == weights, moved
     assert moved_tables[::-1] == tables, moved
@@ -486,11 +507,11 @@ def test_tutte_threshold_changes_no_output(rng, monkeypatch):
     for _ in range(10):
         sigma = make_random_collection(rng)
         betti_mod._recursion_cache.clear()
-        with_window = [compute_betti(sigma, a, "auto") for a in range(1, sigma.n + 1)]
+        with_window = [compute_betti(sigma, a, "recursion") for a in range(1, sigma.n + 1)]
         betti_mod._recursion_cache.clear()
         with monkeypatch.context() as m:
             m.setattr(betti_mod, "TUTTE_MAX_N", 0)
-            pure_recursion = [compute_betti(sigma, a, "auto") for a in range(1, sigma.n + 1)]
+            pure_recursion = [compute_betti(sigma, a, "recursion") for a in range(1, sigma.n + 1)]
         betti_mod._recursion_cache.clear()
         assert with_window == pure_recursion
 

@@ -262,7 +262,7 @@ def test_all_folds_weight_each_collection_once(tmp_path, capsys, monkeypatch):
     clear_memos()
     monkeypatch.setattr(matroid, "_multiplicity_layers", counted)
     path = write_instance(tmp_path, MULTIPLICITY_HEAVY)
-    assert main(["betti", "--input", path, "--all-folds", "--json"]) == 0
+    assert main(["betti", "--input", path, "--all-folds", "--method", "recursion", "--json"]) == 0
     capsys.readouterr()
     assert len(weighted) > 27
     assert len(weighted) == len(set(weighted))
