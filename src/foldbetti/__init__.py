@@ -7,7 +7,6 @@ for a table by any method, or go through the ``foldbetti`` CLI.
 
 from .betti import (
     BettiTable,
-    b1_tutte,
     betti_cm_generic,
     betti_from_b1_height_km1,
     betti_height1_reduce,

@@ -19,15 +19,15 @@ applications", 1992) gives
 With s[u, j] the coefficient of x^u y^j in T(x+1, y), expanding 1/(z+w) at
 z = infinity gives b_i(a) = sum_{m<i} (-1)^m sum_u s[u, n-k+u-a-m] C(k-u, i-1-m).
 
-:func:`betti_recursion` is the independent route: deletion-contraction down
-to closed forms (maximal power, rank 2, height-1 reduction, a = n, a = n-1,
-Cohen-Macaulay generic, a Herzog-Kuhl solve from the Tutte b_1), chosen by
-the generalized Hamming weights d_1 < ... < d_k.  Weights, effective rank
-and T are memoized per collection (``matroid``, ``forms``).  Tables are
-reported for the effective rank, so collections are essentialized first;
-the recursion memo is keyed by (canonical collection, fold), which is all a
-table depends on.  Concurrent callers may duplicate work but always read
-complete immutable tables.
+:func:`betti_recursion` is the independent route, and it never reads T:
+deletion-contraction down to closed forms (maximal power, rank 2, height-1
+reduction, a = n, a = n-1, Cohen-Macaulay generic), chosen by the height of
+the fold ideal and by genericity, both read off the generalized Hamming
+weights.  Weights, effective rank and T are memoized per collection
+(``matroid``, ``forms``).  Tables are reported for the effective rank, so
+collections are essentialized first; the recursion memo is keyed by
+(canonical collection, fold), which is all a table depends on.  Concurrent
+callers may duplicate work but always read complete immutable tables.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ from .forms import (
 from .matroid import hamming_weights, height_of_fold_ideal, tutte_polynomial
 
 METHODS = ("auto", "recursion", "tutte_hk", "oracle")
-
-# Collections with more forms than this skip the Herzog-Kuhl window in the
-# recursion, which would need their Tutte polynomial, and take a
-# deletion-contraction step instead.
-TUTTE_MAX_N = 16
 
 _recursion_cache = {}
 
@@ -119,11 +114,6 @@ def betti_tutte(sigma: FormCollection, a: int) -> BettiTable:
     return BettiTable(a, k, b)
 
 
-def b1_tutte(sigma: FormCollection, a: int) -> int:
-    """First Betti number, the first entry of :func:`betti_tutte`."""
-    return betti_tutte(sigma, a).b[0]
-
-
 def betti_maximal_power(k: int, a: int) -> BettiTable:
     """Betti numbers of the a-th power of the maximal ideal in k variables."""
     if k < 1 or a < 1:
@@ -132,6 +122,8 @@ def betti_maximal_power(k: int, a: int) -> BettiTable:
     return BettiTable(a, k, b)
 
 
+# No route calls this; it stays because bench/tracer.py wraps it as
+# betti.hk_window and the bench smoke test fails on a missing wrapper.
 def betti_from_b1_height_km1(k: int, a: int, b1: int) -> BettiTable:
     """Fill b_2..b_k from b_1 in the height-(k-1) window (Herzog-Kuhl solve)."""
     b = [b1]
@@ -229,10 +221,10 @@ def herzog_kuhl_residuals(table: BettiTable, a: int, height: int):
 def betti_recursion(sigma: FormCollection, a: int) -> BettiTable:
     """Full Betti table by deletion-contraction with closed-form base cases.
 
-    Dispatch order: trivial fold, essentialize, rank <= 2, maximal power,
-    height-1 reduction, a = n, a = n-1, Cohen-Macaulay generic, Herzog-Kuhl
-    window (when n <= ``TUTTE_MAX_N``), and only then one
-    deletion-contraction step at the group of largest multiplicity.
+    Dispatch order: trivial fold, essentialize, rank <= 2, maximal power
+    (height k), height-1 reduction, a = n, a = n-1, Cohen-Macaulay generic,
+    and only then one deletion-contraction step at the group of largest
+    multiplicity.
     """
     if a < 1:
         raise ValueError("fold must be at least 1")
@@ -252,10 +244,10 @@ def _recursion_dispatch(ess, a):
         return _zero_table(a, k)
     if k <= 2:
         return betti_rank2(ess, a)
-    d = hamming_weights(ess).d
-    if a <= d[0]:
+    h = height_of_fold_ideal(ess, a)
+    if h == k:
         return betti_maximal_power(k, a)
-    if a > d[k - 2] and a < n:
+    if h == 1 and a < n:
         reduced, e = betti_height1_reduce(ess, a)
         inner = betti_recursion(reduced, e)
         return BettiTable(a, inner.k, inner.b)
@@ -265,8 +257,6 @@ def _recursion_dispatch(ess, a):
         return betti_nminus1(ess)
     if a >= n - k + 1 and is_generic(ess, min(n - a + 1, k)):
         return betti_cm_generic(ess, a)
-    if d[0] < a <= d[1] and n <= TUTTE_MAX_N:
-        return betti_from_b1_height_km1(k, a, b1_tutte(ess, a))
     deleted = delete(ess, 0)
     contracted = contract(ess, 0)
     t_del = betti_recursion(deleted, a - 1) if deleted is not None else None

@@ -84,7 +84,8 @@ def parse_instance(text) -> InstanceFile:
         text = text.decode("utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nested array or object
         raise InstanceError("malformed JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise InstanceError("instance: expected a JSON object")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from operator import add
 
 from .exactlin import bareiss_rank
 from .forms import (
@@ -119,19 +118,26 @@ def _flats(sigma):
 
 
 def _multiplicity_layers(sigma, forms):
-    """Masks over ``forms``; layer j holds the forms of multiplicity above j."""
+    """(weight, mask) pairs, one per distinct multiplicity v of the forms.
+
+    The mask holds the forms of multiplicity at least v over ``forms``, and
+    the weight is v minus the next smaller multiplicity (or 0), so a form of
+    multiplicity m lies in layers whose weights sum to m.
+    """
     mult_of = dict(sigma.groups)
-    return [
-        sum(1 << i for i, coeffs in enumerate(forms) if mult_of[coeffs] > j)
-        for j in range(max(mult_of.values()))
-    ]
+    below = 0
+    layers = []
+    for v in sorted(set(mult_of.values())):
+        layers.append((v - below, sum(1 << i for i, coeffs in enumerate(forms) if mult_of[coeffs] >= v)))
+        below = v
+    return layers
 
 
 def _sizes(flats, layers):
-    """Each flat's size counted with multiplicity: one popcount per layer."""
+    """Each flat's size counted with multiplicity: weight times popcount per layer."""
     sizes = [0] * len(flats)
-    for layer in layers:
-        sizes = list(map(add, sizes, map(int.bit_count, map(layer.__and__, flats))))
+    for weight, mask in layers:
+        sizes = [size + weight * (mask & flat).bit_count() for size, flat in zip(sizes, flats)]
     return sizes
 
 

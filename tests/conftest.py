@@ -1,5 +1,5 @@
 """Shared fixtures: the worked examples as collections, random generators
-(a Hypothesis strategy among them), the naive reference eliminator, the
+(Hypothesis strategies among them), the naive reference eliminator, the
 plain-matrix Hilbert function, a helper that empties the memo tables, and a
 terminal-summary hook that prints one line per acceptance criterion."""
 
@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from foldbetti import normalize
@@ -185,6 +186,20 @@ raw_collections = st.integers(1, 5).flatmap(
         ).filter(lambda raw: any(any(c) for c, _ in raw)),
     )
 )
+
+
+@st.composite
+def small_collections(draw):
+    """(k, raw forms): k <= 4, n <= 8, multiplicities <= 3, coefficients in +-2."""
+    k = draw(st.integers(1, 4))
+    left = draw(st.integers(1, 8))
+    raw = []
+    while left:
+        m = draw(st.integers(1, min(left, 3)))
+        raw.append((draw(st.tuples(*[st.integers(-2, 2)] * k)), m))
+        left -= m
+    assume(any(any(c) for c, _ in raw))
+    return k, raw
 
 
 @pytest.fixture

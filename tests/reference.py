@@ -15,7 +15,9 @@ so they stay here as independent references:
 - :func:`rank2_flats`, the rank-2 level of the flat enumerator with group
   indices and sizes;
 - :func:`tutte_polynomial_subset_sum`, the subset-sum definition of the
-  Tutte polynomial.
+  Tutte polynomial;
+- :func:`hamming_weights_crapo`, the generalized Hamming weights read off
+  the Tutte polynomial.
 """
 
 from itertools import combinations
@@ -24,7 +26,7 @@ from math import comb
 from foldbetti.betti import BettiTable, _entry, _zero_table, betti_rank2
 from foldbetti.exactlin import bareiss_rank
 from foldbetti.forms import FormCollection, contract, drop_group, essentialize
-from foldbetti.matroid import TuttePoly, _flats, _multiplicity_layers, _sizes, full_rank
+from foldbetti.matroid import TuttePoly, _flats, _multiplicity_layers, _sizes, full_rank, tutte_polynomial
 
 
 def _comb0(n, r):
@@ -192,3 +194,23 @@ def tutte_polynomial_subset_sum(sigma: FormCollection) -> TuttePoly:
                 elif ij in out:
                     del out[ij]
     return TuttePoly(out)
+
+
+def hamming_weights_crapo(sigma: FormCollection) -> tuple:
+    """Generalized Hamming weights of the essentialized collection, from T.
+
+    By Crapo's expansion T(x+1, y+1) = sum over column sets A of
+    x^(k-r(A)) y^(|A|-r(A)), a sum without cancellation, so coefficient
+    (i, j) is nonzero exactly when some set of corank i has j + k - i
+    columns.  d_r is n minus the most columns of rank at most k - r.  No
+    flat enumeration is involved.
+    """
+    ess = essentialize(sigma)
+    k, n = ess.k, ess.n
+    shifted = {}
+    for (i, j), c in tutte_polynomial(ess).coeffs.items():
+        for i2 in range(i + 1):
+            for j2 in range(j + 1):
+                shifted[(i2, j2)] = shifted.get((i2, j2), 0) + comb(i, i2) * comb(j, j2) * c
+    support = [(i, j) for (i, j), c in shifted.items() if c]
+    return tuple(n - max(j + k - i for i, j in support if i >= r) for r in range(1, k + 1))

@@ -12,11 +12,11 @@ from fractions import Fraction
 from math import comb
 
 from foldbetti import (
-    b1_tutte,
     b1_via_circuits,
     betti_cm_generic,
     betti_from_hilbert,
     betti_recursion,
+    betti_tutte,
     essentialize,
     height_of_fold_ideal,
     herzog_kuhl_residuals,
@@ -61,7 +61,7 @@ def example_3_6():
 def test_criterion_01_example_2_5_b1_all_methods():
     sigma = example_2_5()
     expected = [3, 6, 10, 14, 14, 6, 1]
-    assert [b1_tutte(sigma, a) for a in range(1, 8)] == expected
+    assert [betti_tutte(sigma, a).b[0] for a in range(1, 8)] == expected
     assert [betti_recursion(sigma, a).b[0] for a in range(1, 8)] == expected
     assert [hilbert_function(sigma, a, a) for a in range(1, 8)] == expected
     assert [b1_via_circuits(sigma, a) for a in range(1, 7)] == expected[:6]
@@ -107,14 +107,14 @@ def test_criterion_04_example_4_3_golden():
 def test_criterion_05_example_3_6_and_replacement():
     sigma = example_3_6()
     assert b1_singular_line_arrangement(sigma) == 19
-    assert b1_tutte(sigma, 5) == 19
+    assert betti_tutte(sigma, 5).b[0] == 19
     assert hilbert_function(sigma, 5, 5) == 19
     # a line through neither 4-fold point ([0:0:1] and [0:1:0])
     raw = [(c, m) for c, m in sigma.groups if c != (1, 1, -2)]
     raw.append(((0, 1, -1), 1))
     replaced = normalize(raw, 3)
     assert b1_singular_line_arrangement(replaced) == 19
-    assert b1_tutte(replaced, 5) == 19
+    assert betti_tutte(replaced, 5).b[0] == 19
     assert hilbert_function(replaced, 5, 5) == 19
 
 
@@ -129,7 +129,7 @@ def test_criterion_06_method_agreement_200_instances():
         for a in range(1, sigma.n + 1):
             rec = betti_recursion(sigma, a)
             assert rec == betti_from_hilbert(sigma, a), (sigma, a)
-            b1 = b1_tutte(sigma, a)
+            b1 = betti_tutte(sigma, a).b[0]
             assert b1 == rec.b[0], (sigma, a)
             assert b1 == hilbert_function(sigma, a, a), (sigma, a)
             if a < sigma.n:

@@ -5,12 +5,11 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldbetti import (
     BettiTable,
-    b1_tutte,
     betti_cm_generic,
     betti_from_b1_height_km1,
     betti_from_hilbert,
@@ -19,6 +18,7 @@ from foldbetti import (
     betti_nminus1,
     betti_rank2,
     betti_recursion,
+    betti_tutte,
     compute_betti,
     delete,
     essentialize,
@@ -31,7 +31,7 @@ from foldbetti import (
 
 from foldbetti.betti import is_generic
 
-from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections
+from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections, small_collections
 from reference import (
     b1_k3_veronese,
     b1_singular_line_arrangement,
@@ -65,15 +65,15 @@ def test_table_invariants():
 
 
 def test_b1_tutte_column(example_2_5):
-    assert [b1_tutte(example_2_5, a) for a in range(1, 8)] == [3, 6, 10, 14, 14, 6, 1]
+    assert [betti_tutte(example_2_5, a).b[0] for a in range(1, 8)] == [3, 6, 10, 14, 14, 6, 1]
 
 
 def test_b1_tutte_extremes(example_2_5):
-    assert b1_tutte(example_2_5, 7) == 1
+    assert betti_tutte(example_2_5, 7).b[0] == 1
     sigma = normalize([((1, 0), 1), ((0, 1), 1)], 2)
-    assert b1_tutte(sigma, 1) == 2
+    assert betti_tutte(sigma, 1).b[0] == 2
     with pytest.raises(ValueError):
-        b1_tutte(example_2_5, 8)
+        betti_tutte(example_2_5, 8).b[0]
 
 
 def test_maximal_power_tables():
@@ -92,6 +92,22 @@ def test_height_km1_solve():
     assert betti_from_b1_height_km1(3, 4, 14).b == (14, 22, 9)
     assert betti_from_b1_height_km1(3, 5, 14).b == (14, 21, 8)
     assert betti_from_b1_height_km1(2, 3, 4).b == (4, 3)
+
+
+def test_recursion_reads_no_tutte_polynomial(example_2_5, monkeypatch):
+    # the recursion is an independent route: it must reach every table,
+    # height-(k-1) folds 4 and 5 included, without T
+    import foldbetti.betti as betti_mod
+    import foldbetti.matroid as matroid_mod
+
+    def refuse(sigma):
+        raise AssertionError("the recursion asked for a Tutte polynomial")
+
+    clear_memos()
+    monkeypatch.setattr(betti_mod, "tutte_polynomial", refuse)
+    monkeypatch.setattr(matroid_mod, "tutte_polynomial", refuse)
+    tables = [betti_recursion(example_2_5, a).b for a in range(1, 8)]
+    assert tables == [(3, 3, 1), (6, 8, 3), (10, 15, 6), (14, 22, 9), (14, 21, 8), (6, 5, 0), (1, 0, 0)]
 
 
 def test_rank2_tables(example_4_3):
@@ -265,7 +281,7 @@ def test_b1_k3_veronese_preconditions():
 
 def test_singular_line_arrangement(example_3_6):
     assert b1_singular_line_arrangement(example_3_6) == 19
-    assert b1_tutte(example_3_6, 5) == 19
+    assert betti_tutte(example_3_6, 5).b[0] == 19
 
 
 def test_singular_line_arrangement_replacement(example_3_6):
@@ -274,7 +290,7 @@ def test_singular_line_arrangement_replacement(example_3_6):
     raw.append(((0, 1, -1), 1))
     replaced = normalize(raw, 3)
     assert b1_singular_line_arrangement(replaced) == 19
-    assert b1_tutte(replaced, 5) == 19
+    assert betti_tutte(replaced, 5).b[0] == 19
 
 
 def test_singular_line_arrangement_near_pencil():
@@ -282,7 +298,7 @@ def test_singular_line_arrangement_near_pencil():
         [((1, 0, 0), 1), ((0, 1, 0), 1), ((1, -1, 0), 1), ((1, 1, 0), 1), ((0, 0, 1), 1)], 3
     )
     assert b1_singular_line_arrangement(pencil) == 5
-    assert b1_tutte(pencil, 2) == 5
+    assert betti_tutte(pencil, 2).b[0] == 5
 
 
 def test_singular_line_arrangement_rejects_generic():
@@ -362,20 +378,6 @@ def test_scaling_leaves_tables_unchanged(example_2_5):
     assert scaled == example_2_5
     for a in (2, 4, 6):
         assert betti_recursion(scaled, a) == betti_recursion(example_2_5, a)
-
-
-@st.composite
-def small_collections(draw):
-    """(k, raw forms): k <= 4, n <= 8, multiplicities <= 3, coefficients in +-2."""
-    k = draw(st.integers(1, 4))
-    left = draw(st.integers(1, 8))
-    raw = []
-    while left:
-        m = draw(st.integers(1, min(left, 3)))
-        raw.append((draw(st.tuples(*[st.integers(-2, 2)] * k)), m))
-        left -= m
-    assume(any(any(c) for c, _ in raw))
-    return k, raw
 
 
 @pytest.mark.parametrize("p", [None, 3, 5, 101])
@@ -480,7 +482,7 @@ def test_method_agreement_small(rng):
         for a in range(1, sigma.n + 1):
             rec = betti_recursion(sigma, a)
             assert rec == betti_from_hilbert(sigma, a)
-            assert rec.b[0] == b1_tutte(sigma, a)
+            assert rec.b[0] == betti_tutte(sigma, a).b[0]
 
 
 def test_pdim_and_tail_laws(rng):
@@ -499,21 +501,6 @@ def test_b1_equals_hilbert_function(rng):
         sigma = make_random_collection(rng, max_n=6)
         for a in range(1, sigma.n + 1):
             assert betti_recursion(sigma, a).b[0] == hilbert_function(sigma, a, a)
-
-
-def test_tutte_threshold_changes_no_output(rng, monkeypatch):
-    import foldbetti.betti as betti_mod
-
-    for _ in range(10):
-        sigma = make_random_collection(rng)
-        betti_mod._recursion_cache.clear()
-        with_window = [compute_betti(sigma, a, "recursion") for a in range(1, sigma.n + 1)]
-        betti_mod._recursion_cache.clear()
-        with monkeypatch.context() as m:
-            m.setattr(betti_mod, "TUTTE_MAX_N", 0)
-            pure_recursion = [compute_betti(sigma, a, "recursion") for a in range(1, sigma.n + 1)]
-        betti_mod._recursion_cache.clear()
-        assert with_window == pure_recursion
 
 
 def test_concurrent_recursion_is_consistent(example_2_5):

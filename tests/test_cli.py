@@ -210,6 +210,19 @@ def test_main_bad_input_exit_code(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_main_deeply_nested_input_is_malformed_not_too_deep(tmp_path, capsys):
+    # the JSON decoder recurses per nesting level; that is bad input (exit 1),
+    # not a computation past the recursion limit (exit 3)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["betti", "--input", str(path), "--fold", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("foldbetti: malformed JSON")
+
+
 def test_main_missing_file(capsys):
     assert main(["betti", "--input", "/nonexistent.json", "--fold", "1"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -462,6 +475,15 @@ def test_huge_hilbert_degree_range_is_refused_at_once(tmp_path, monkeypatch, deg
     assert child.returncode == 1
     assert child.stdout == ""
     assert child.stderr == "foldbetti: %s\n" % message
+
+
+def test_hamming_weights_of_a_huge_multiplicity_are_quick(tmp_path):
+    # one layer per distinct multiplicity, not one per unit of the largest
+    doc = {"k": 3, "forms": [{"coeffs": ["1", "0", "0"], "mult": 3 * 10**6}]
+           + [{"coeffs": c, "mult": 1} for c in (["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"])]}
+    child = run_child(["hamming", "--input", write_instance(tmp_path, doc), "--json"])
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["hamming"] == [2, 3, 3000003]
 
 
 def test_main_out_of_memory_exits_3_without_traceback(tmp_path):

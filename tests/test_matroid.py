@@ -19,8 +19,8 @@ from foldbetti import (
 from foldbetti.forms import canonical_coeffs
 from foldbetti.matroid import _flats
 
-from conftest import gauss_rank, make_random_collection, raw_collections
-from reference import rank2_flats, tutte_polynomial_subset_sum
+from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections, small_collections
+from reference import hamming_weights_crapo, rank2_flats, tutte_polynomial_subset_sum
 
 # the shifted polynomial y^4+x^3+x^2y+xy^2+3y^3+6x^2+6xy+6y^2+13x+9y+8
 SHIFTED_2_5 = {
@@ -277,6 +277,18 @@ def test_hamming_weights_strictly_increasing(rng):
         d = hamming_weights(sigma).d
         assert all(x < y for x, y in zip(d, d[1:]))
         assert d[-1] == sigma.n
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=small_collections())
+def test_hamming_weights_match_crapo_reading_of_tutte(p, case):
+    # T(x+1, y+1) counts column sets by corank and nullity, which fixes each
+    # d_r without the flat enumerator or its multiplicity layers
+    k, raw = case
+    clear_memos()
+    ess = essentialize(normalize(raw, k, p))
+    assert hamming_weights(ess).d == hamming_weights_crapo(ess), ess
 
 
 def test_hamming_weights_requires_full_rank():
