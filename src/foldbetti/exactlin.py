@@ -3,21 +3,24 @@
 Every matrix here holds Python ints.  With ``p=None`` the ints stand for
 rationals and elimination is fraction-free: a row is updated by
 cross-multiplication, ``pivot * row - entry * pivot_row``, so no fraction
-is ever formed.  With a prime ``p`` the ints are residues and the same
-update is reduced mod p, where multiplying a row by a nonzero pivot is
-invertible.  Callers bring rational input to integers once, when forms are
-normalized (see ``forms``).
+is ever formed; echelon rows are kept primitive by one ``math.gcd(*row)``.
+With a prime ``p`` the ints are residues and the same update is reduced
+mod p, where multiplying a row by a nonzero pivot is invertible.  Callers
+bring rational input to integers once, when forms are normalized (see
+``forms``).
 
 Three engines, all pivoting on the first nonzero entry in column order so
 that every trace is deterministic:
 
 - :func:`bareiss_rank` for the many small one-shot ranks of the matroid
   layer;
-- :class:`IntEchelon` for dense rows added one at a time.  The Hilbert
-  oracle keeps one per degree: it reads the stored ``pivot_rows`` of degree d,
+- :class:`IntEchelon` for dense rows added one at a time, each update one
+  comprehension over the columns from the pivot on.  The Hilbert oracle
+  keeps one per degree: it reads the stored ``pivot_rows`` of degree d,
   shifts each by x_1..x_k into a fresh one for degree d + 1, and stops at
   full column rank; circuit dependencies read the pivot rows too;
-- :class:`SparseIntEchelon` for sparse rows (the circuit-relation space).
+- :class:`SparseIntEchelon` for sparse rows (the circuit-relation space),
+  each a private dict updated in place that never holds a zero entry.
 
 Everything here is a pure function of its inputs or owned by the caller, so
 values can be shared freely between concurrent callers.
@@ -69,16 +72,6 @@ def bareiss_rank(rows, p=None) -> int:
     return r
 
 
-def _primitive(values):
-    """Divisor that makes integer ``values`` coprime (1 if already so)."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    return g
-
-
 class IntEchelon:
     """Incremental dense row echelon, over the integers or mod ``p``.
 
@@ -109,24 +102,20 @@ class IntEchelon:
             v = row[c]
             if v == 0:
                 continue
+            if p is None:  # primitive at each column met: as if divided after each update
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    v = row[c]
             piv = pivot_rows.get(c)
             if piv is None:
-                if p is None:
-                    g = _primitive(row)
-                    if g > 1:
-                        row = [x // g for x in row]
                 pivot_rows[c] = row
                 return True
             pv = piv[c]
             if p is None:
-                for j in range(c, width):
-                    row[j] = pv * row[j] - v * piv[j]
-                g = _primitive(row)
-                if g > 1:
-                    row = [x // g for x in row]
+                row[c:] = [pv * x - v * y for x, y in zip(row[c:], piv[c:])]
             else:
-                for j in range(c, width):
-                    row[j] = (pv * row[j] - v * piv[j]) % p
+                row[c:] = [(pv * x - v * y) % p for x, y in zip(row[c:], piv[c:])]
         return False
 
     def is_full(self):
@@ -144,30 +133,34 @@ class SparseIntEchelon:
     def rank(self):
         return len(self.pivot_rows)
 
-    def _nonzero(self, entries):
-        if self.p is None:
-            return {j: v for j, v in entries if v}
-        p = self.p
-        return {j: v % p for j, v in entries if v % p}
-
     def add(self, row) -> bool:
         """Reduce ``row`` against the basis; returns True if rank grew."""
-        row = self._nonzero(row.items())
+        p, pivot_rows = self.p, self.pivot_rows
+        if p is None:
+            row = {j: v for j, v in row.items() if v}
+        else:
+            row = {j: v % p for j, v in row.items() if v % p}
         while row:
             c = min(row)
-            piv = self.pivot_rows.get(c)
+            piv = pivot_rows.get(c)
             if piv is None:
-                if self.p is None:
-                    g = _primitive(row.values())
+                if p is None:
+                    g = gcd(*row.values())
                     if g > 1:
-                        row = {j: v // g for j, v in row.items()}
-                self.pivot_rows[c] = row
+                        for j in row:
+                            row[j] //= g
+                pivot_rows[c] = row
                 return True
-            v = row.pop(c)
-            pv = piv[c]
-            new = {j: pv * w for j, w in row.items()}
-            for j, w in piv.items():
-                if j != c:
-                    new[j] = new.get(j, 0) - v * w
-            row = self._nonzero(new.items())
+            v, pv = row[c], piv[c]
+            if pv != 1:
+                for j, w in row.items():
+                    row[j] = w * pv if p is None else w * pv % p
+            for j, w in piv.items():  # column c cancels with the rest
+                x = row.get(j, 0) - v * w
+                if p is not None:
+                    x %= p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
         return False

@@ -9,7 +9,8 @@ the combinatorial shortcuts they are meant to verify.
 The Hilbert function climbs the chain I_{d+1} = S_1 * I_d, as in the
 Macaulay-matrix step of Lazard (1983) and Faugere's F4 (1999): each degree
 echelonizes x_1..x_k times the echelon basis of the degree below.  Once a
-degree is full, every later one is, and its value is dim S_d.
+degree is full, every later one is, and its value is dim S_d.  A fold's
+Betti table or HF report climbs once, to its largest degree.
 
 These are verifiers, not production paths: desk-scale guardrails refuse
 instances whose matrices would not fit a quick exact computation.
@@ -113,18 +114,20 @@ def _check_cells(sigma: FormCollection, a: int, d: int):
         raise OracleLimitError("Hilbert matrix would have %d x %d cells; limit is %d" % (rows, cols, limit))
 
 
-def hilbert_function(sigma: FormCollection, a: int, d: int) -> int:
+def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:
     """dim of the degree-d piece of the fold ideal, by exact row ranks.
 
     Degree a echelonizes the deduplicated fold products.  Degree e + 1
     echelonizes x_1..x_k times every stored pivot row of degree e, each
     shifted by the index map from exponent m to m + e_i (I_{e+1} = S_1 * I_e).
     Once a degree is full, dim S_d is returned without building more rows.
+    A dict ``values`` receives HF(e) for every e in a..d on the way, dim S_e
+    from the first full degree on, so one climb serves a whole table.
     """
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
     _check_cells(sigma, a, d)
-    k = sigma.k
+    k, values = sigma.k, {} if values is None else values
     index = {m: i for i, m in enumerate(monomial_basis(k, a))}
     unique = {tuple(sorted(g.items())): g for g in fold_generators(sigma, a)}
     rows = [{index[m]: c for m, c in g.items()} for g in unique.values()]
@@ -135,7 +138,9 @@ def hilbert_function(sigma: FormCollection, a: int, d: int) -> int:
             for j, c in sparse.items():
                 row[j] = c
             if ech.add(row) and ech.is_full():
-                return len(monomial_basis(k, d))
+                values.update((f, comb(k - 1 + f, k - 1)) for f in range(e, d + 1))
+                return comb(k - 1 + d, k - 1)
+        values[e] = ech.rank
         if e < d:  # I_{e+1} = S_1 * I_e
             index = {m: i for i, m in enumerate(monomial_basis(k, e + 1))}
             shifts = [
@@ -152,10 +157,10 @@ def betti_from_hilbert(sigma: FormCollection, a: int) -> BettiTable:
 
     b_1 is HF at the generation degree; each later b_i is an alternating
     binomial combination of earlier ones plus the next HF value.  Every
-    degree passes the cell limit before any is computed.  Once a degree
-    comes back full, the later values are dim S_d and are not computed.  A
-    negative intermediate would contradict the linearity of the resolution,
-    so it is reported as an error rather than clamped.
+    degree passes the cell limit, in order, before any is computed; then one
+    climb to degree a + k - 1 yields every value, and it stops at the first
+    full degree.  A negative intermediate would contradict the linearity of
+    the resolution, so it is reported as an error rather than clamped.
     """
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
@@ -163,13 +168,10 @@ def betti_from_hilbert(sigma: FormCollection, a: int) -> BettiTable:
     k = ess.k
     for d in range(a, a + k):
         _check_cells(ess, a, d)
-    b, full = [], False
+    hf, b = {}, []
+    hilbert_function(ess, a, a + k - 1, hf)
     for i in range(1, k + 1):
-        d = a + i - 1
-        dim = comb(k - 1 + d, k - 1)
-        hf = dim if full else hilbert_function(ess, a, d)
-        full = hf == dim
-        v = (-1) ** (i - 1) * hf
+        v = (-1) ** (i - 1) * hf[a + i - 1]
         for j in range(1, i):
             v += (-1) ** (j - 1) * comb(k + j - 1, j) * b[i - j - 1]
         if v < 0:
@@ -188,10 +190,19 @@ class HFReport(Record):
 
 
 def hf_report(sigma: FormCollection, a: int, degrees) -> HFReport:
-    """HF at each degree; every degree passes the cell limit, in order, first."""
+    """HF at each degree, in any order, from one climb to the largest.
+
+    ``degrees`` is read once, so a generator serves as well as a range; each
+    degree passes the cell limit as it is read, in the order given, so a
+    huge range is refused before it is held in memory.
+    """
+    read, values = [], {}
     for d in degrees:
         _check_cells(sigma, a, d)
-    return HFReport(a, {d: hilbert_function(sigma, a, d) for d in degrees})
+        read.append(d)
+    if read:
+        hilbert_function(sigma, a, max(read), values)
+    return HFReport(a, {d: values[d] for d in read})
 
 
 class RelationSpace(Record):
@@ -247,14 +258,10 @@ def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
         others = [u for u in range(n) if u not in circuit]
         cset = set(circuit)
         for divisor in combinations(others, n - s + 1 - a):
-            dset = set(divisor)
-            vec = {}
-            for idx, j in enumerate(circuit):
-                key = tuple(sorted(dset | (cset - {j})))
-                vec[position[key]] = dep[idx]
-            generators.append(vec)
+            support = cset.union(divisor)
+            generators.append({position[tuple(sorted(support - {j}))]: c for j, c in zip(circuit, dep)})
     ech = SparseIntEchelon(sigma.p)
-    for vec in generators:
+    for vec in sorted(generators, key=max, reverse=True):  # rank is order-free
         ech.add(vec)
     return RelationSpace(a, ambient, generators, ech.rank)
 

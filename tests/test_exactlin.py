@@ -3,6 +3,7 @@ the naive reference eliminator in ``conftest`` over Q and GF(p)."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -214,3 +215,24 @@ def test_residues_match_rank_modulo_the_span(p, basis, u, w):
     assert (ru is not None) == (gauss_rank(basis + [u], p) > r)
     if ru is not None and rw is not None:
         assert (ru == rw) == (gauss_rank(basis + [u, w], p) == r + 1)
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rows=st.lists(st.dictionaries(st.integers(0, 7), st.integers(-6, 6), max_size=5), max_size=10))
+def test_sparse_echelon_invariants(p, rows):
+    # zero entries in the input exercise the filter; rows are updated in place,
+    # so the caller's dicts must come back untouched
+    snapshot = [dict(r) for r in rows]
+    expected = gauss_rank([[r.get(c, 0) for c in range(8)] for r in rows], p)
+    descending = sorted(rows, key=lambda r: max(r, default=-1), reverse=True)
+    for order in (rows, rows[::-1], descending):
+        ech = SparseIntEchelon(p)
+        grew = [ech.add(r) for r in order]
+        assert ech.rank == sum(grew) == expected
+        for c, row in ech.pivot_rows.items():
+            assert min(row) == c
+            assert all(v != 0 if p is None else 0 < v < p for v in row.values())
+            if p is None:
+                assert gcd(*row.values()) == 1
+    assert rows == snapshot

@@ -201,8 +201,12 @@ def test_hilbert_function_matches_plain_matrix(p, collection, inert):
     sigma = normalize(raw, k, p)
     for a in range(1, sigma.n + 1):
         assert fold_generators(sigma, a) == fold_products_reference(sigma, a)
+        values = {}  # every degree of one climb to the top
+        hilbert_function(sigma, a, a + k + 1, values)
+        assert sorted(values) == list(range(a, a + k + 2))
         for d in range(a, a + k + 2):
-            assert hilbert_function(sigma, a, d) == hilbert_function_reference(sigma, a, d)
+            expected = hilbert_function_reference(sigma, a, d)
+            assert hilbert_function(sigma, a, d) == expected == values[d]
 
 
 def test_guard_names_the_first_degree_over_the_limit(example_2_5, monkeypatch):
@@ -226,18 +230,46 @@ def test_guard_still_applies_after_a_full_degree(example_2_5, monkeypatch):
     assert str(exc.value) == "Hilbert matrix would have 21 x 6 cells; limit is 50"
 
 
+def count_echelons(monkeypatch):
+    """Widths of the echelons the oracle builds from now on, one per degree."""
+    built = []
+
+    class Counted(oracle.IntEchelon):
+        def __init__(self, width, p=None):
+            built.append(width)
+            super().__init__(width, p)
+
+    monkeypatch.setattr(oracle, "IntEchelon", Counted)
+    return built
+
+
 def test_full_degree_stops_the_hilbert_calls(example_2_5, monkeypatch):
-    # d_1 = 3 for Example 2.5, so I_3 is the maximal-ideal power m^3
-    calls = []
-    real = oracle.hilbert_function
-
-    def counted(sigma, a, d):
-        calls.append(d)
-        return real(sigma, a, d)
-
-    monkeypatch.setattr(oracle, "hilbert_function", counted)
+    # d_1 = 3 for Example 2.5, so I_3 is the maximal-ideal power m^3: the
+    # climb stops at degree 3 (dim S_3 = 10); at a = 4 no degree up to 6 is full
+    built = count_echelons(monkeypatch)
     assert betti_from_hilbert(example_2_5, 3) == betti_maximal_power(3, 3)
-    assert calls == [3]
-    calls.clear()
+    assert built == [10]
+    built.clear()
     assert betti_from_hilbert(example_2_5, 4).b == (14, 22, 9)
-    assert calls == [4, 5, 6]
+    assert built == [15, 21, 28]
+
+
+def test_each_degree_is_echelonized_once(example_2_5, monkeypatch):
+    # one climb to the top degree serves the lower ones; a call per degree
+    # would rebuild degree 4 three times and degree 5 twice (6 echelons)
+    built = count_echelons(monkeypatch)
+    betti_from_hilbert(example_2_5, 4)
+    assert len(built) == 3
+    built.clear()
+    assert hf_report(example_2_5, 4, range(4, 7)).values == {4: 14, 5: 20, 6: 27}
+    assert len(built) == 3
+
+
+def test_hf_report_reads_the_degrees_once(example_2_5):
+    # a generator is exhausted by the cell checks if it is read twice
+    report = hf_report(example_2_5, 4, (d for d in range(4, 7)))
+    assert report.values == {4: 14, 5: 20, 6: 27}
+    report = hf_report(example_2_5, 4, [6, 4])
+    assert report.values == {6: 27, 4: 14}
+    assert report.to_json_dict() == {"a": 4, "hf": {"4": 14, "6": 27}}
+    assert hf_report(example_2_5, 4, []).values == {}
