@@ -20,12 +20,10 @@ from .betti import (
 )
 from .forms import (
     FormCollection,
-    ReductionData,
     contract,
     delete,
     essentialize,
     normalize,
-    reduction_data,
 )
 from .matroid import (
     HammingWeights,

@@ -41,7 +41,6 @@ from .forms import (
     delete,
     essentialize,
     normalize,
-    reduction_data,
 )
 from .matroid import hamming_weights, height_of_fold_ideal, tutte_polynomial
 
@@ -81,9 +80,7 @@ class BettiTable(FrozenRecord):
 
 
 def _entry(table, i):
-    if table is None or i < 1 or i > table.k:
-        return 0
-    return table.b[i - 1]
+    return table.b[i - 1] if 1 <= i <= table.k else 0
 
 
 def _zero_table(a, k):
@@ -133,7 +130,7 @@ def betti_from_b1_height_km1(k: int, a: int, b1: int) -> BettiTable:
 
 
 def betti_rank2(sigma: FormCollection, a: int) -> BettiTable:
-    """The rank <= 2 closed form: (e+1, e); principal collections give (1,)."""
+    """Rank <= 2: (e+1, e), e = max(a - sum max(m_i + a - n, 0), 0); rank 1 gives (1,)."""
     ess = essentialize(sigma)
     if ess.k > 2:
         raise ValueError("effective rank %d exceeds 2" % ess.k)
@@ -141,24 +138,26 @@ def betti_rank2(sigma: FormCollection, a: int) -> BettiTable:
         raise ValueError("fold %d out of range 1..%d" % (a, ess.n))
     if ess.k == 1:
         return BettiTable(a, 1, (1,))
-    e = reduction_data(ess, a).e
+    n = ess.n
+    e = max(a - sum(max(m + a - n, 0) for m in ess.multiplicities), 0)
     return BettiTable(a, 2, (e + 1, e))
 
 
 def betti_height1_reduce(sigma: FormCollection, a: int):
     """Strip the forced linear factors in the height-1 regime.
 
-    Returns the collection with multiplicities m_i - e_i and the new fold e;
-    the reduced instance has height 2, so the caller recurses on it.
+    Form i divides every fold product e_i = max(m_i + a - n, 0) times, so each
+    m_i is capped at n - a.  Returns that collection and the fold a - sum e_i,
+    where the height is 2, so the caller recurses on it.
     """
     ess = essentialize(sigma)
-    if a >= ess.n:
+    n = ess.n
+    if a >= n:
         raise ValueError("a = n is the principal case, not a height-1 reduction")
     if height_of_fold_ideal(ess, a) != 1:
         raise ValueError("fold %d does not sit in the height-1 window" % a)
-    rd = reduction_data(ess, a)
-    raw = [(coeffs, mult - e_i) for (coeffs, mult), e_i in zip(ess.groups, rd.e_list)]
-    return normalize(raw, ess.k, ess.p), rd.e
+    raw = [(coeffs, min(mult, n - a)) for coeffs, mult in ess.groups]
+    return normalize(raw, ess.k, ess.p), a - n + sum(m for _, m in raw)
 
 
 def betti_nminus1(sigma: FormCollection) -> BettiTable:
@@ -257,12 +256,10 @@ def _recursion_dispatch(ess, a):
         return betti_nminus1(ess)
     if a >= n - k + 1 and is_generic(ess, min(n - a + 1, k)):
         return betti_cm_generic(ess, a)
-    deleted = delete(ess, 0)
-    contracted = contract(ess, 0)
-    t_del = betti_recursion(deleted, a - 1) if deleted is not None else None
-    t_con = None
-    if contracted is not None and a <= contracted.n:
-        t_con = betti_recursion(contracted, a)
+    # rank k >= 3 means three or more groups, so both minors exist; the height-1
+    # branch took every a > d_(k-1) = n - m_0, which is the contraction's n
+    t_del = betti_recursion(delete(ess, 0), a - 1)
+    t_con = betti_recursion(contract(ess, 0), a)
     b = tuple(
         _entry(t_del, i) + _entry(t_con, i) + _entry(t_con, i - 1)
         for i in range(1, k + 1)

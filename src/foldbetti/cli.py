@@ -31,7 +31,7 @@ from .matroid import (
     tutte_polynomial,
     tutte_shifted_coeffs,
 )
-from .oracle import OracleLimitError, _cell_limit, b1_via_circuits, betti_from_hilbert, hf_report
+from .oracle import OracleLimitError, b1_via_circuits, betti_from_hilbert, hf_report
 
 
 class InstanceError(Exception):
@@ -56,6 +56,17 @@ def _is_prime(p: int) -> bool:
     # p passes base b when b^d, b^2d, ..., b^(2^(s-1) d) starts at 1 or meets -1
     chains = ([pow(b, d << i, p) for i in range(s)] for b in _BASES)
     return all(chain[0] == 1 or p - 1 in chain for chain in chains)
+
+
+def _too_long(text):
+    """Whether ``Fraction(text)`` may build an int of more than 4300 digits, CPython's
+    default int-string limit: the mantissa's digits plus the exponent's size."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        shift = abs(int(exponent or 0))
+    except ValueError:  # Fraction names the malformed string
+        shift = 0
+    return sum(ch.isdigit() for ch in mantissa) + shift > 4300
 
 
 class InstanceFile(Record):
@@ -125,6 +136,8 @@ def parse_instance(text) -> InstanceFile:
         for j, c in enumerate(coeffs):
             if isinstance(c, bool) or not isinstance(c, (str, int)):
                 raise InstanceError("%s.coeffs[%d]: expected a rational string, got %r" % (path, j, c))
+            if isinstance(c, str) and _too_long(c):
+                raise InstanceError("%s.coeffs[%d]: %r would need more than 4300 digits" % (path, j, c))
             try:
                 q = Fraction(c)
             except (ValueError, ZeroDivisionError) as exc:
@@ -387,7 +400,6 @@ def main(argv=None) -> int:
         print("foldbetti: cannot read %s: %s" % (args.input, exc), file=sys.stderr)
         return 1
     try:
-        _cell_limit()  # reject a bad FOLDBETTI_ORACLE_CELL_LIMIT whatever the command
         instance = parse_instance(text)
         # an option the command would silently ignore is an error
         given = {"--fold": args.fold is not None, "--all-folds": args.all_folds,

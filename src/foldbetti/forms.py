@@ -163,12 +163,6 @@ class FormCollection(FrozenRecord):
         return cols
 
 
-class ReductionData(FrozenRecord):
-    """Per-group exponents e_i = max(m_i + a - n, 0) and e = max(a - sum e_i, 0)."""
-
-    __slots__ = ("e_list", "e")
-
-
 def _sort_key(coeffs, mult):
     return (-mult, coeffs)
 
@@ -275,14 +269,3 @@ def essentialize(sigma: FormCollection) -> FormCollection:
     pivots = sorted(ech.pivot_rows)
     raw = [(tuple(coeffs[c] for c in pivots), mult) for coeffs, mult in sigma.groups]
     return normalize(raw, len(pivots), sigma.p)
-
-
-def reduction_data(sigma: FormCollection, a: int) -> ReductionData:
-    """The exponent vector e_i and leftover fold e at fold ``a``."""
-    n = sigma.n
-    if not 1 <= a <= n:
-        raise ValueError("fold %d out of range 1..%d" % (a, n))
-    e_list = tuple(max(m + a - n, 0) for m in sigma.multiplicities)
-    e = max(a - sum(e_list), 0)
-    return ReductionData(e_list, e)
-

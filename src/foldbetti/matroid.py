@@ -211,38 +211,16 @@ class TuttePoly:
         }
 
 
-def _poly_add(p, q):
-    out = dict(p)
-    for ij, c in q.items():
-        v = out.get(ij, 0) + c
-        if v:
-            out[ij] = v
-        elif ij in out:
-            del out[ij]
-    return out
-
-
-def _poly_mul(p, q):
-    out = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            ij = (i1 + i2, j1 + j2)
-            v = out.get(ij, 0) + c1 * c2
-            if v:
-                out[ij] = v
-            elif ij in out:
-                del out[ij]
-    return out
-
-
 def tutte_polynomial(sigma: FormCollection) -> TuttePoly:
     """Tutte polynomial by deletion-contraction, memoized per collection.
 
     Parallel copies of a form are eliminated as one block: deleting and
-    contracting copy by copy telescopes into a single geometric factor in
-    y, with an x instead of the constant term when the block is a coloop.
-    Loops never occur in stored collections (zero forms are stripped), but
-    contraction accounts for the copies that collapse.
+    contracting copy by copy telescopes into T(M - block) plus T(M / block)
+    times 1 + y + ... + y^(m-1), or times x + y + ... + y^(m-1) when the
+    block is a coloop.  The factor's coefficients are all 1 and T's are
+    nonnegative, so the terms are added straight into one dict: no sum
+    cancels.  Loops never occur in stored collections (zero forms are
+    stripped), but contraction accounts for the copies that collapse.
     """
     cached = _tutte_cache.get(sigma)
     if cached is not None:
@@ -251,14 +229,12 @@ def tutte_polynomial(sigma: FormCollection) -> TuttePoly:
     deleted = drop_group(sigma, 0)
     contracted = contract(sigma, 0)
     t_con = tutte_polynomial(contracted).coeffs if contracted is not None else {(0, 0): 1}
-    if deleted is None or full_rank(deleted) < full_rank(sigma):
-        factor = {(1, 0): 1}
-        for j in range(1, m):
-            factor[(0, j)] = 1
-        result = _poly_mul(factor, t_con)
-    else:
-        factor = {(0, j): 1 for j in range(m)}
-        result = _poly_add(tutte_polynomial(deleted).coeffs, _poly_mul(factor, t_con))
+    coloop = deleted is None or full_rank(deleted) < full_rank(sigma)
+    result = {} if coloop else dict(tutte_polynomial(deleted).coeffs)
+    for di, dj in [(1, 0) if coloop else (0, 0)] + [(0, j) for j in range(1, m)]:
+        for (i, j), c in t_con.items():
+            ij = (i + di, j + dj)
+            result[ij] = result.get(ij, 0) + c
     poly = TuttePoly(result)
     if poly.evaluate(1, 1) <= 0:
         raise AssertionError("Tutte polynomial lost its bases count")
@@ -271,10 +247,5 @@ def tutte_shifted_coeffs(tp: TuttePoly):
     out = {}
     for (i, j), c in tp.coeffs.items():
         for i2 in range(i + 1):
-            ij = (i2, j)
-            v = out.get(ij, 0) + comb(i, i2) * c
-            if v:
-                out[ij] = v
-            elif ij in out:
-                del out[ij]
+            out[i2, j] = out.get((i2, j), 0) + comb(i, i2) * c
     return out

@@ -18,7 +18,6 @@ instances whose matrices would not fit a quick exact computation.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -28,25 +27,12 @@ from .exactlin import IntEchelon, SparseIntEchelon
 from .forms import FormCollection, Record, canonical_coeffs, essentialize
 from .matroid import circuits_up_to
 
-DEFAULT_CELL_LIMIT = 5_000_000
+CELL_LIMIT = 5_000_000
 RELATION_AMBIENT_LIMIT = 200_000
 
 
 class OracleLimitError(Exception):
     """The instance exceeds the oracle's desk-scale guardrails."""
-
-
-def _cell_limit():
-    text = os.environ.get("FOLDBETTI_ORACLE_CELL_LIMIT")
-    if text is None:
-        return DEFAULT_CELL_LIMIT
-    try:
-        limit = int(text)
-        if limit >= 1:
-            return limit
-    except ValueError:
-        pass
-    raise ValueError("FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer, got %r" % text)
 
 
 @lru_cache(maxsize=None)
@@ -107,11 +93,11 @@ def _check_cells(sigma: FormCollection, a: int, d: int):
     cell limit (a conservative size for the incremental chain)."""
     if d < a:
         raise ValueError("degree %d below generation degree %d" % (d, a))
-    k, limit = sigma.k, _cell_limit()
+    k = sigma.k
     rows = comb(sigma.n, a) * comb(k - 1 + d - a, k - 1)
     cols = comb(k - 1 + d, k - 1)
-    if rows * cols > limit:
-        raise OracleLimitError("Hilbert matrix would have %d x %d cells; limit is %d" % (rows, cols, limit))
+    if rows * cols > CELL_LIMIT:
+        raise OracleLimitError("Hilbert matrix would have %d x %d cells; limit is %d" % (rows, cols, CELL_LIMIT))
 
 
 def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:

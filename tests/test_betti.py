@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from foldbetti import (
     BettiTable,
+    b1_via_circuits,
     betti_cm_generic,
     betti_from_b1_height_km1,
     betti_from_hilbert,
@@ -112,6 +113,10 @@ def test_recursion_reads_no_tutte_polynomial(example_2_5, monkeypatch):
 
 def test_rank2_tables(example_4_3):
     assert betti_rank2(example_4_3, 3).b == (3, 2)
+    assert betti_rank2(example_4_3, 5).b == (1, 0)  # a = n: every copy is forced
+    for a in (0, 6):
+        with pytest.raises(ValueError):
+            betti_rank2(example_4_3, a)
     mixed = normalize([((1, 0), 2), ((0, 1), 2), ((1, 2), 1)], 2)
     assert betti_rank2(mixed, 4).b == (3, 2)
     low = normalize([((1, 0), 1), ((0, 1), 1), ((1, 1), 2)], 2)
@@ -133,6 +138,9 @@ def test_height1_reduce_example(example_2_5):
 
 
 def test_height1_reduce_small(example_4_3):
+    reduced, e = betti_height1_reduce(example_4_3, 3)
+    assert e == 2
+    assert reduced.multiplicities == (2, 2)
     reduced, e = betti_height1_reduce(example_4_3, 4)
     assert e == 1
     assert reduced.groups == (((0, 1), 1), ((1, 0), 1))
@@ -385,7 +393,8 @@ def test_scaling_leaves_tables_unchanged(example_2_5):
 @given(case=small_collections())
 def test_tutte_formula_matches_recursion_and_oracle(p, case):
     # every fold's table off T(x+1, y) against deletion-contraction, and
-    # over Q on small instances against the Hilbert-function oracle
+    # over Q on small instances against the Hilbert-function oracle and,
+    # below a = n, b_1 against the circuit-relation rank
     k, raw = case
     sigma = normalize(raw, k, p)
     small = p is None and k <= 3 and sigma.n <= 6
@@ -394,6 +403,33 @@ def test_tutte_formula_matches_recursion_and_oracle(p, case):
         assert table == betti_recursion(sigma, a), (sigma, a)
         if small:
             assert table == betti_from_hilbert(sigma, a), (sigma, a)
+            if a < sigma.n:
+                assert b1_via_circuits(sigma, a) == table.b[0], (sigma, a)
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=small_collections())
+def test_cap_and_peel_leave_every_route_unchanged(p, case):
+    # a fold product uses each form at most a times, so capping every m_i at a
+    # keeps I_a; a form with e_i = m_i + a - n > 0 divides every product e_i
+    # times, so peeling those copies keeps the table at fold a - sum e_i
+    k, raw = case
+    sigma = normalize(raw, k, p)
+    n = sigma.n
+    routes = {"tutte_hk": lambda s, a: compute_betti(s, a, "tutte_hk"), "recursion": betti_recursion}
+    if p is None and k <= 3 and n <= 6:
+        routes["oracle"] = betti_from_hilbert
+    for a in range(1, n + 1):
+        capped = normalize([(c, min(m, a)) for c, m in sigma.groups], k, p)
+        for name, route in routes.items():
+            table = route(sigma, a)
+            assert route(capped, a) == table, (name, sigma, a)
+            if a < n and table.k >= 2:  # below a = n every form keeps a copy
+                peel = [max(m + a - n, 0) for m in sigma.multiplicities]
+                peeled = normalize([(c, m - e) for (c, m), e in zip(sigma.groups, peel)], k, p)
+                inner = route(peeled, a - sum(peel))
+                assert (inner.k, inner.b) == (table.k, table.b), (name, sigma, a)
 
 
 @st.composite

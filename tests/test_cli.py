@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import foldbetti
-from foldbetti import cli
+from foldbetti import cli, oracle
 from foldbetti.cli import (
     CommandError,
     InstanceError,
@@ -92,6 +92,9 @@ def test_parse_errors_name_the_field():
         parse_instance('{"k":1,"forms":[{"coeffs":["1"],"mult":0}]}')
     with pytest.raises(InstanceError, match=r"coeffs\[0\]"):
         parse_instance('{"k":1,"forms":[{"coeffs":["x"],"mult":1}]}')
+    # 10^(10^6) parses, but the report's echo of it could not be printed
+    with pytest.raises(InstanceError, match=r"forms\[0\]\.coeffs\[0\]: '1e1000000' would need more than 4300"):
+        parse_instance('{"k":1,"forms":[{"coeffs":["1e1000000"]}]}')
 
 
 def test_run_betti_single_fold():
@@ -363,18 +366,20 @@ def test_rational_wire_format_round_trips():
     doc = {
         "field": "rational",
         "k": 2,
-        "forms": [{"coeffs": ["-1/2", "3"], "mult": 1}, {"coeffs": ["2/4", "0"], "mult": 1}],
+        "forms": [{"coeffs": ["-1/2", "3"], "mult": 1}, {"coeffs": ["2/4", "0"], "mult": 1},
+                  {"coeffs": ["0.5", "1e3"], "mult": 1}],
     }
     inst = parse_instance(json.dumps(doc))
     echoed = inst.to_json_dict()
     # sign on the numerator, reduced, bare integer when the denominator is 1
     assert echoed["forms"][0]["coeffs"] == ["-1/2", "3"]
     assert echoed["forms"][1]["coeffs"] == ["1/2", "0"]
+    assert echoed["forms"][2]["coeffs"] == ["1/2", "1000"]
     assert parse_instance(json.dumps(echoed)) == inst
 
 
 def test_verify_with_oracle_guardrail_gives_partial_report(monkeypatch):
-    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", "5")
+    monkeypatch.setattr(oracle, "CELL_LIMIT", 5)
     report = run("verify", parse_example(), folds=[4])
     entry = report.data["results"][0]
     assert "skipped" in entry["methods"]["oracle"]
@@ -415,39 +420,6 @@ def test_main_deep_pencil_exits_3_without_traceback(tmp_path, capsys):
     assert captured.err.startswith("foldbetti: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["1e6", "5.0", "many"])
-def test_cell_limit_must_be_an_integer(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", value)
-    assert main(["verify", "--input", write_instance(tmp_path), "--fold", "4"]) == 1
-    err = capsys.readouterr().err
-    assert "FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer" in err
-    assert repr(value) in err
-
-
-@pytest.mark.parametrize("value", ["-5", "0"])
-def test_cell_limit_must_be_positive(tmp_path, capsys, monkeypatch, value):
-    # a non-positive limit used to skip every Hilbert oracle and still agree
-    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", value)
-    assert main(["verify", "--input", write_instance(tmp_path), "--fold", "4"]) == 1
-    captured = capsys.readouterr()
-    assert "FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer" in captured.err
-    assert "agree" not in captured.out
-
-
-@pytest.mark.parametrize("value", ["1e6", "-5"])
-@pytest.mark.parametrize(
-    "command", [["betti", "--fold", "2"], ["hamming"]], ids=["betti", "hamming"]
-)
-def test_cell_limit_is_checked_before_any_command(tmp_path, capsys, monkeypatch, command, value):
-    # commands that never reach an oracle reject the variable too
-    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", value)
-    assert main([command[0], "--input", write_instance(tmp_path)] + command[1:]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "FOLDBETTI_ORACLE_CELL_LIMIT must be a positive integer" in captured.err
-    assert repr(value) in captured.err
-
-
 def run_child(args, timeout=5, preexec_fn=None):
     """Run the CLI (or Python code, for ``-c``) in a fresh interpreter."""
     src = str(Path(foldbetti.__file__).resolve().parent.parent)
@@ -467,14 +439,23 @@ def run_child(args, timeout=5, preexec_fn=None):
     ],
     ids=["below-fold", "over-limit"],
 )
-def test_huge_hilbert_degree_range_is_refused_at_once(tmp_path, monkeypatch, degrees, message):
-    monkeypatch.delenv("FOLDBETTI_ORACLE_CELL_LIMIT", raising=False)
+def test_huge_hilbert_degree_range_is_refused_at_once(tmp_path, degrees, message):
     doc = {"k": 2, "forms": [{"coeffs": c, "mult": 1} for c in (["1", "0"], ["0", "1"], ["1", "1"])]}
     child = run_child(["hilbert", "--input", write_instance(tmp_path, doc), "--fold", "2",
                        "--degrees", degrees])
     assert child.returncode == 1
     assert child.stdout == ""
     assert child.stderr == "foldbetti: %s\n" % message
+
+
+def test_coefficient_exponent_past_the_digit_limit_is_refused_at_once(tmp_path):
+    # Fraction("1e100000000") alone would build 10^(10^8) for minutes
+    doc = {"k": 2, "forms": [{"coeffs": ["1e100000000", "1"]}, {"coeffs": ["0", "1"]}]}
+    child = run_child(["betti", "--input", write_instance(tmp_path, doc), "--fold", "1"], timeout=5)
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr.startswith("foldbetti: forms[0].coeffs[0]: ")
+    assert child.stderr.count("\n") == 1
 
 
 def test_hamming_weights_of_a_huge_multiplicity_are_quick(tmp_path):

@@ -1,4 +1,4 @@
-"""Normalization, deletion, contraction, essentialization, reduction data."""
+"""Normalization, deletion, contraction, essentialization."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,6 @@ from foldbetti import (
     delete,
     essentialize,
     normalize,
-    reduction_data,
     subset_rank,
 )
 from foldbetti.forms import FormCollection, canonical_coeffs
@@ -184,35 +183,6 @@ def test_essentialize_preserves_matroid(rng):
         for size in range(1, sigma.n + 1):
             for subset in combinations(range(sigma.n), size):
                 assert subset_rank(sigma, subset) == subset_rank(ess, subset)
-
-
-def test_reduction_data_values(example_4_3):
-    rd = reduction_data(example_4_3, 3)
-    assert rd.e_list == (1, 0)
-    assert rd.e == 2
-
-
-def test_reduction_data_low_fold():
-    sigma = normalize([((1, 0), 2), ((0, 1), 2), ((1, 1), 1)], 2)
-    d1 = sigma.n - max(sigma.multiplicities)
-    for a in range(1, d1 + 1):
-        rd = reduction_data(sigma, a)
-        assert rd.e_list == (0,) * sigma.t
-        assert rd.e == a
-
-
-def test_reduction_data_single_form():
-    sigma = normalize([((1,), 1)], 1)
-    rd = reduction_data(sigma, 1)
-    assert rd.e_list == (1,)
-    assert rd.e == 0
-
-
-def test_reduction_data_range_check(example_4_3):
-    with pytest.raises(ValueError):
-        reduction_data(example_4_3, 0)
-    with pytest.raises(ValueError):
-        reduction_data(example_4_3, 6)
 
 
 def test_coefficient_matrix_example(example_2_5):

@@ -151,10 +151,10 @@ def test_relation_ambient_guardrail():
 
 
 def test_hilbert_cell_guardrail(example_2_5, monkeypatch):
-    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", "10")
+    monkeypatch.setattr(oracle, "CELL_LIMIT", 10)
     with pytest.raises(OracleLimitError, match="cells"):
         hilbert_function(example_2_5, 3, 4)
-    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", "5000000")
+    monkeypatch.setattr(oracle, "CELL_LIMIT", 5_000_000)
     assert hilbert_function(example_2_5, 3, 3) == 10
 
 
@@ -211,7 +211,7 @@ def test_hilbert_function_matches_plain_matrix(p, collection, inert):
 
 def test_guard_names_the_first_degree_over_the_limit(example_2_5, monkeypatch):
     # a = 4: degree 4 has 35 x 15 plain cells, degree 5 has 105 x 21
-    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", "1000")
+    monkeypatch.setattr(oracle, "CELL_LIMIT", 1000)
     assert hilbert_function(example_2_5, 4, 4) == 14
     with pytest.raises(OracleLimitError) as exc:
         betti_from_hilbert(example_2_5, 4)
@@ -223,7 +223,7 @@ def test_guard_names_the_first_degree_over_the_limit(example_2_5, monkeypatch):
 
 def test_guard_still_applies_after_a_full_degree(example_2_5, monkeypatch):
     # a = 1 <= d_1: degree 1 is full, yet degree 2 (21 x 6 plain cells) is refused
-    monkeypatch.setenv("FOLDBETTI_ORACLE_CELL_LIMIT", "50")
+    monkeypatch.setattr(oracle, "CELL_LIMIT", 50)
     assert hilbert_function(example_2_5, 1, 1) == 3
     with pytest.raises(OracleLimitError) as exc:
         betti_from_hilbert(example_2_5, 1)
