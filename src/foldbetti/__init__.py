@@ -1,8 +1,8 @@
 """Exact Betti numbers of ideals generated by fold products of linear forms.
 
-The public surface: build a :class:`~foldbetti.forms.FormCollection` with
-:func:`~foldbetti.forms.normalize`, then ask :func:`~foldbetti.betti.compute_betti`
-for a table by any method, or go through the ``foldbetti`` CLI.
+The public surface: build a :class:`~foldbetti.forms.FormCollection` from raw
+forms (:func:`~foldbetti.forms.normalize` builds the same), then ask
+:func:`~foldbetti.betti.compute_betti` for a table, or go through the CLI.
 """
 
 from .betti import (

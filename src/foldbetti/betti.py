@@ -32,7 +32,7 @@ callers may duplicate work but always read complete immutable tables.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, perm
 
 from .forms import (
     FormCollection,
@@ -207,13 +207,8 @@ def herzog_kuhl_residuals(table: BettiTable, a: int, height: int):
     k = table.k
     residuals = [sum((-1) ** i * table.b[i - 1] for i in range(1, k + 1)) + 1]
     for j in range(1, height):
-        total = 0
-        for i in range(1, k + 1):
-            factor = 1
-            for u in range(1, j + 1):
-                factor *= a + i - u
-            total += (-1) ** i * factor * table.b[i - 1]
-        residuals.append(total)
+        # prod_{u=1..j} (a + i - u) = perm(a + i - 1, j)
+        residuals.append(sum((-1) ** i * perm(a + i - 1, j) * table.b[i - 1] for i in range(1, k + 1)))
     return tuple(residuals)
 
 

@@ -60,7 +60,10 @@ def _is_prime(p: int) -> bool:
 
 def _too_long(text):
     """Whether ``Fraction(text)`` may build an int of more than 4300 digits, CPython's
-    default int-string limit: the mantissa's digits plus the exponent's size."""
+    default int-string limit: each side of a ``p/q`` alone, else the mantissa's
+    digits plus the exponent's size."""
+    if "/" in text:
+        return any(sum(ch.isdigit() for ch in side) > 4300 for side in text.split("/"))
     mantissa, _, exponent = text.lower().partition("e")
     try:
         shift = abs(int(exponent or 0))
@@ -73,10 +76,6 @@ class InstanceFile(Record):
     """Validated instance: scalar field, ambient count, forms with multiplicity."""
 
     __slots__ = ("field", "p", "k", "forms")
-
-    @property
-    def n(self) -> int:
-        return sum(m for _, m in self.forms)
 
     def to_json_dict(self):
         return {
@@ -95,8 +94,9 @@ def parse_instance(text) -> InstanceFile:
         text = text.decode("utf-8")
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # the decoder recurses once per nested array or object
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past the int-string
+        # limit; the decoder recurses once per nested array or object
         raise InstanceError("malformed JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise InstanceError("instance: expected a JSON object")

@@ -5,14 +5,16 @@ collection: ``FormCollection.p`` is None for the rationals or a prime p
 for GF(p).  Each form is stored in a canonical scale.  Over the rationals
 it is a primitive integer vector whose first nonzero entry is positive;
 over GF(p) it holds residues in [0, p) and its first nonzero entry is 1.
-:func:`normalize` is the one place where input (ints or ``Fraction``s) is
-brought to that scale; everything downstream is integer arithmetic.
+The :class:`FormCollection` constructor is the one place where input (ints
+or ``Fraction``s) is brought to that scale; everything downstream is
+integer arithmetic.
 
 A collection's ``groups`` are ``(coeffs, mult)`` pairs: pairwise
 non-proportional forms, each with a positive multiplicity, sorted by
-multiplicity descending then coefficients.  The collection checks the
-canonical scale of every form on construction, so equal inputs always
-build the identical object, which is what the memoized recursions key on.
+multiplicity descending then coefficients.  The collection builds the
+canonical scale of every form on construction, so inputs that spell the
+same multiset of forms up to scale always build the identical object,
+which is what the memoized recursions key on.
 
 Deletion removes one copy of a form.  Contraction reduces every other form
 modulo a chosen form and drops one ambient variable (:func:`images_modulo`,
@@ -116,32 +118,27 @@ class FrozenRecord(Record):
 class FormCollection(FrozenRecord):
     """The multiset of linear forms: groups of (coeffs, multiplicity).
 
-    ``p`` is the field: None for the rationals, otherwise a prime.  Every
-    form must already be in its canonical scale over that field.
+    ``p`` is the field: None for the rationals, otherwise a prime.  The
+    constructor takes raw (coeffs, mult) pairs and builds the canonical
+    collection, exactly as :func:`normalize` describes; it refuses a wrong
+    coefficient count, a multiplicity below 1 and no nonzero form.
     """
 
     __slots__ = ("k", "groups", "p")
 
-    def __init__(self, k: int, groups: tuple, p: int | None = None):
-        super().__init__(k, groups, p)
-        if not self.groups:
-            raise ValueError("empty collection")
-        field = "" if self.p is None else " GF(%d)" % self.p
-        for coeffs, mult in self.groups:
-            if len(coeffs) != self.k:
-                raise ValueError("form %r has %d coefficients, ambient is %d" % (coeffs, len(coeffs), self.k))
+    def __init__(self, k: int, groups, p: int | None = None):
+        merged = {}
+        for coeffs, mult in groups:
+            if len(coeffs) != k:
+                raise ValueError("form %r has %d coefficients, ambient is %d" % (coeffs, len(coeffs), k))
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
-            canon = canonical_coeffs(coeffs, self.p)
-            if canon is None:
-                raise ValueError("zero form cannot live in a collection")
-            if canon != coeffs:
-                raise ValueError("form %r is not a canonical%s form" % (coeffs, field))
-        keys = [_sort_key(coeffs, mult) for coeffs, mult in self.groups]
-        if keys != sorted(keys):
-            raise ValueError("groups are not in canonical order")
-        if len({coeffs for coeffs, _ in self.groups}) != len(self.groups):
-            raise ValueError("proportional groups were not merged")
+            canon = canonical_coeffs(coeffs, p)
+            if canon is not None:
+                merged[canon] = merged.get(canon, 0) + mult
+        if not merged:
+            raise ValueError("empty collection")
+        super().__init__(k, tuple(sorted(merged.items(), key=lambda g: (-g[1], g[0]))), p)
 
     @property
     def n(self) -> int:
@@ -163,29 +160,14 @@ class FormCollection(FrozenRecord):
         return cols
 
 
-def _sort_key(coeffs, mult):
-    return (-mult, coeffs)
-
-
 def normalize(raw_forms, k: int, p=None) -> FormCollection:
     """Canonicalize raw (coeff-vector, multiplicity) pairs over Q or GF(p).
 
     Coefficients may be ints or ``Fraction``s.  Zero vectors are dropped, proportional forms are merged by summing
     multiplicities, and the result is sorted.  Raises if nothing survives.
+    ``FormCollection(k, raw_forms, p)`` builds the same collection.
     """
-    merged = {}
-    for coeffs, mult in raw_forms:
-        if len(coeffs) != k:
-            raise ValueError("form %r has %d coefficients, expected %d" % (coeffs, len(coeffs), k))
-        if mult < 1:
-            raise ValueError("multiplicity must be positive")
-        canon = canonical_coeffs(coeffs, p)
-        if canon is None:
-            continue
-        merged[canon] = merged.get(canon, 0) + mult
-    if not merged:
-        raise ValueError("empty collection")
-    return FormCollection(k, tuple(sorted(merged.items(), key=lambda g: _sort_key(*g))), p)
+    return FormCollection(k, raw_forms, p)
 
 
 def delete(sigma: FormCollection, group_index: int):
@@ -198,7 +180,7 @@ def delete(sigma: FormCollection, group_index: int):
             raw.append((coeffs, mult))
     if not raw:
         return None
-    return normalize(raw, sigma.k, sigma.p)
+    return FormCollection(sigma.k, raw, sigma.p)
 
 
 def drop_group(sigma: FormCollection, group_index: int):
@@ -206,7 +188,7 @@ def drop_group(sigma: FormCollection, group_index: int):
     groups = [g for i, g in enumerate(sigma.groups) if i != group_index]
     if not groups:
         return None
-    return FormCollection(sigma.k, tuple(groups), sigma.p)
+    return FormCollection(sigma.k, groups, sigma.p)
 
 
 def images_modulo(ell, forms):
@@ -226,8 +208,8 @@ def images_modulo(ell, forms):
 def contract(sigma: FormCollection, group_index: int):
     """Reduce the other forms modulo the chosen form, in one fewer variable.
 
-    The images come from :func:`images_modulo`; normalizing reduces them
-    mod p over GF(p).  Returns them, or None when no other group is left.
+    The images come from :func:`images_modulo`; the constructor reduces
+    them mod p over GF(p).  Returns them, or None when no other group is left.
     Every image is nonzero, because no other group is proportional to the
     chosen one, so the result holds n minus the chosen multiplicity forms.
     """
@@ -235,7 +217,7 @@ def contract(sigma: FormCollection, group_index: int):
     if not others:
         return None
     images = images_modulo(sigma.groups[group_index][0], [f for f, _ in others])
-    return normalize(zip(images, [m for _, m in others]), sigma.k - 1, sigma.p)
+    return FormCollection(sigma.k - 1, zip(images, [m for _, m in others]), sigma.p)
 
 
 def full_rank(sigma: FormCollection) -> int:
@@ -268,4 +250,4 @@ def essentialize(sigma: FormCollection) -> FormCollection:
         ech.add(coeffs)
     pivots = sorted(ech.pivot_rows)
     raw = [(tuple(coeffs[c] for c in pivots), mult) for coeffs, mult in sigma.groups]
-    return normalize(raw, len(pivots), sigma.p)
+    return FormCollection(len(pivots), raw, sigma.p)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,14 +61,14 @@ def parse_example():
 
 def test_parse_example_instance():
     inst = parse_example()
-    assert inst.n == 7
+    assert to_collection(inst).n == 7
     assert inst.k == 3
     assert to_collection(inst).t == 6
 
 
 def test_parse_minimal_instance():
     inst = parse_instance('{"field":"rational","k":1,"forms":[{"coeffs":["1"],"mult":1}]}')
-    assert inst.n == 1
+    assert to_collection(inst).n == 1
 
 
 def test_parse_round_trip():
@@ -95,6 +96,21 @@ def test_parse_errors_name_the_field():
     # 10^(10^6) parses, but the report's echo of it could not be printed
     with pytest.raises(InstanceError, match=r"forms\[0\]\.coeffs\[0\]: '1e1000000' would need more than 4300"):
         parse_instance('{"k":1,"forms":[{"coeffs":["1e1000000"]}]}')
+    # a JSON integer past the 4300-digit limit stops the decoder itself
+    huge = "9" * 5001
+    for text in ('{"k":1,"forms":[{"coeffs":[%s]}]}' % huge,
+                 '{"k":1,"forms":[{"coeffs":["1"],"mult":%s}]}' % huge,
+                 '{"k":%s,"forms":[{"coeffs":["1"]}]}' % huge):
+        with pytest.raises(InstanceError, match="malformed JSON: Exceeds the limit"):
+            parse_instance(text)
+
+
+def test_each_side_of_a_fraction_is_held_to_the_digit_limit():
+    text = "1" * 3000 + "/" + "3" * 3000
+    assert parse_instance('{"k":1,"forms":[{"coeffs":["%s"]}]}' % text).forms == [((Fraction(1, 3),), 1)]
+    for text in ("1" * 4301 + "/1", "1/" + "1" * 4301):
+        with pytest.raises(InstanceError, match="would need more than 4300 digits"):
+            parse_instance('{"k":1,"forms":[{"coeffs":["%s"]}]}' % text)
 
 
 def test_run_betti_single_fold():

@@ -90,8 +90,8 @@ def test_stack_rank_basic():
 
 
 def test_stack_rank_length_mismatch():
-    # vector lengths are validated where forms enter: at normalization
-    with pytest.raises(ValueError, match="expected 2"):
+    # vector lengths are validated where forms enter: at construction
+    with pytest.raises(ValueError, match="ambient is 2"):
         normalize([((1, 0), 1), ((1,), 1)], 2)
 
 

@@ -1,9 +1,13 @@
 """Normalization, deletion, contraction, essentialization."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldbetti import (
     contract,
@@ -14,7 +18,7 @@ from foldbetti import (
 )
 from foldbetti.forms import FormCollection, canonical_coeffs
 
-from conftest import gauss_rank, make_random_collection
+from conftest import gauss_rank, make_random_collection, raw_collections
 
 
 def test_normalize_merges_proportional():
@@ -56,12 +60,13 @@ def test_normalize_idempotent(rng):
 
 
 def test_linear_form_must_be_canonical():
-    # over Q: a primitive integer vector whose first nonzero entry is positive
-    with pytest.raises(ValueError, match="not a canonical form"):
-        FormCollection(2, (((2, 0), 1),))
-    with pytest.raises(ValueError, match="not a canonical form"):
-        FormCollection(2, (((0, -1), 1),))
-    with pytest.raises(ValueError, match="zero form"):
+    # over Q: a primitive integer vector whose first nonzero entry is positive;
+    # the constructor brings a form to that scale, as normalize does
+    for raw, canon in [((2, 0), (1, 0)), ((0, -1), (0, 1))]:
+        sigma = FormCollection(2, ((raw, 1),))
+        assert sigma == normalize([(raw, 1)], 2)
+        assert sigma.groups == ((canon, 1),)
+    with pytest.raises(ValueError, match="empty collection"):
         FormCollection(2, (((0, 0), 1),))
     assert canonical_coeffs((4, 2)) == (2, 1)
     assert canonical_coeffs((0, -4, 6)) == (0, 2, -3)
@@ -69,8 +74,9 @@ def test_linear_form_must_be_canonical():
     # over GF(p): residues in [0, p) with first nonzero entry 1
     assert canonical_coeffs((2, 3), 7) == (1, 5)
     assert canonical_coeffs((0, -1), 7) == (0, 1)
-    with pytest.raises(ValueError, match="GF\\(7\\)"):
-        FormCollection(2, (((1, 9), 1),), 7)
+    sigma = FormCollection(2, (((1, 9), 1),), 7)
+    assert sigma == normalize([((1, 9), 1)], 2, 7)
+    assert sigma.groups == (((1, 2), 1),)
 
 
 def test_normalize_prime_field_merges_mod_p():
@@ -199,5 +205,40 @@ def test_coefficient_matrix_single_form():
 
 
 def test_collection_validates_order():
-    with pytest.raises(ValueError, match="canonical order"):
-        FormCollection(2, (((0, 1), 1), ((1, 0), 2)))
+    # groups come out sorted by multiplicity descending, then coefficients
+    sigma = FormCollection(2, (((0, 1), 1), ((1, 0), 2)))
+    assert sigma == normalize([((0, 1), 1), ((1, 0), 2)], 2)
+    assert sigma.groups == (((1, 0), 2), ((0, 1), 1))
+
+
+# scales invertible mod 3 and mod 101, so they keep every form nonzero over GF(p)
+_scales = st.builds(Fraction, st.sampled_from([-2, -1, 1, 2]), st.sampled_from([1, 2]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(collection=raw_collections, p=st.sampled_from([None, 3, 101]), data=st.data())
+def test_constructor_builds_the_canonical_collection(collection, p, data):
+    k, raw = collection
+    scales = data.draw(st.lists(_scales, min_size=len(raw), max_size=len(raw)))
+    scaled = [(tuple(c * s for c in coeffs), m) for (coeffs, m), s in zip(raw, scales)]
+    scaled.append(((0,) * k, data.draw(st.integers(1, 3))))
+    scaled = data.draw(st.permutations(scaled))
+    sigma = FormCollection(k, scaled, p)
+    assert sigma == normalize(raw, k, p)
+    assert FormCollection(k, sigma.groups, p) == sigma
+    for again in (pickle.loads(pickle.dumps(sigma)), copy.deepcopy(sigma)):
+        assert again == sigma
+        assert hash(again) == hash(sigma)
+
+
+def test_constructor_canonicalizes_each_form_once(monkeypatch):
+    calls = []
+
+    def counting(coeffs, p=None):
+        calls.append(coeffs)
+        return canonical_coeffs(coeffs, p)
+
+    monkeypatch.setattr("foldbetti.forms.canonical_coeffs", counting)
+    raw = [((1, 0, 0), 1), ((0, 2, 0), 2), ((1, 1, 1), 1), ((-1, 2, 3), 3)]
+    assert normalize(raw, 3).t == len(raw)
+    assert len(calls) == len(raw)

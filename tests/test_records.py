@@ -18,6 +18,7 @@ from foldbetti import (
     HammingWeights,
     HFReport,
     RelationSpace,
+    normalize,
 )
 from foldbetti.cli import InstanceFile, RunReport
 
@@ -112,13 +113,31 @@ def test_betti_table_validation(values, message):
         ((2, ()), "empty collection"),
         ((3, (((1, 0), 1),)), "form \\(1, 0\\) has 2 coefficients, ambient is 3"),
         ((2, (((1, 0), 0),)), "multiplicity must be positive"),
-        ((2, (((0, 0), 1),)), "zero form cannot live in a collection"),
-        ((2, (((2, 0), 1),)), "form \\(2, 0\\) is not a canonical form"),
-        ((2, (((1, 9), 1),), 7), "form \\(1, 9\\) is not a canonical GF\\(7\\) form"),
-        ((2, (((0, 1), 1), ((1, 0), 2))), "groups are not in canonical order"),
-        ((2, (((1, 0), 1), ((1, 0), 1))), "proportional groups were not merged"),
     ],
 )
 def test_form_collection_validation(values, message):
     with pytest.raises(ValueError, match=message):
         FormCollection(*values)
+
+
+@pytest.mark.parametrize(
+    "k, raw, p, groups",
+    [
+        (2, (((0, 0), 1),), None, None),
+        (2, (((2, 0), 1),), None, (((1, 0), 1),)),
+        (2, (((1, 9), 1),), 7, (((1, 2), 1),)),
+        (2, (((0, 1), 1), ((1, 0), 2)), None, (((1, 0), 2), ((0, 1), 1))),
+        (2, (((1, 0), 1), ((1, 0), 1)), None, (((1, 0), 2),)),
+    ],
+    ids=["zero form", "rational scale", "GF(7) scale", "order", "proportional groups"],
+)
+def test_form_collection_canonicalizes(k, raw, p, groups):
+    # the constructor builds what normalize builds; nothing survives a lone zero form
+    if groups is None:
+        for build in (FormCollection, lambda k, raw, p: normalize(raw, k, p)):
+            with pytest.raises(ValueError, match="empty collection"):
+                build(k, raw, p)
+        return
+    sigma = FormCollection(k, raw, p)
+    assert sigma == normalize(raw, k, p)
+    assert sigma.groups == groups
