@@ -90,13 +90,12 @@ class InstanceFile(Record):
 
 def parse_instance(text) -> InstanceFile:
     """Parse and validate instance JSON; errors carry the offending path."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and an integer past the int-string
-        # limit; the decoder recurses once per nested array or object
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+        # past the int-string limit; the decoder recurses once per nested
+        # array or object
         raise InstanceError("malformed JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise InstanceError("instance: expected a JSON object")

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
 
-from .exactlin import IntEchelon, bareiss_rank
+from .exactlin import SparseIntEchelon, bareiss_rank
 
 _full_rank_cache = {}
 
@@ -163,8 +163,9 @@ class FormCollection(FrozenRecord):
 def normalize(raw_forms, k: int, p=None) -> FormCollection:
     """Canonicalize raw (coeff-vector, multiplicity) pairs over Q or GF(p).
 
-    Coefficients may be ints or ``Fraction``s.  Zero vectors are dropped, proportional forms are merged by summing
-    multiplicities, and the result is sorted.  Raises if nothing survives.
+    Coefficients may be ints or ``Fraction``s.  Zero vectors are dropped,
+    proportional forms are merged by summing multiplicities, and the result
+    is sorted.  Raises if nothing survives.
     ``FormCollection(k, raw_forms, p)`` builds the same collection.
     """
     return FormCollection(k, raw_forms, p)
@@ -245,9 +246,9 @@ def essentialize(sigma: FormCollection) -> FormCollection:
     """
     if full_rank(sigma) == sigma.k:
         return sigma
-    ech = IntEchelon(sigma.k, sigma.p)
+    ech = SparseIntEchelon(sigma.p)
     for coeffs, _ in sigma.groups:
-        ech.add(coeffs)
+        ech.add(dict(enumerate(coeffs)))
     pivots = sorted(ech.pivot_rows)
     raw = [(tuple(coeffs[c] for c in pivots), mult) for coeffs, mult in sigma.groups]
     return FormCollection(len(pivots), raw, sigma.p)

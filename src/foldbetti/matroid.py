@@ -23,6 +23,7 @@ torn entry can be observed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from math import comb
 
@@ -174,14 +175,7 @@ def height_of_fold_ideal(sigma: FormCollection, a: int) -> int:
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
     ess = essentialize(sigma)
-    d = hamming_weights(ess).d
-    k = ess.k
-    if a <= d[0]:
-        return k
-    for r in range(1, k):
-        if d[r - 1] < a <= d[r]:
-            return k - r
-    raise AssertionError("unreachable: d_k = n bounds every fold")
+    return ess.k - bisect_left(hamming_weights(ess).d, a)  # d_1 < ... < d_k = n
 
 
 class TuttePoly:

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .betti import BettiTable
-from .exactlin import IntEchelon, SparseIntEchelon
+from .exactlin import SparseIntEchelon
 from .forms import FormCollection, Record, canonical_coeffs, essentialize
 from .matroid import circuits_up_to
 
@@ -118,12 +118,9 @@ def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:
     unique = {tuple(sorted(g.items())): g for g in fold_generators(sigma, a)}
     rows = [{index[m]: c for m, c in g.items()} for g in unique.values()]
     for e in range(a, d + 1):
-        ech = IntEchelon(len(index), sigma.p)
-        for sparse in rows:
-            row = [0] * len(index)
-            for j, c in sparse.items():
-                row[j] = c
-            if ech.add(row) and ech.is_full():
+        ech = SparseIntEchelon(sigma.p)
+        for row in rows:
+            if ech.add(row) and ech.rank == len(index):
                 values.update((f, comb(k - 1 + f, k - 1)) for f in range(e, d + 1))
                 return comb(k - 1 + d, k - 1)
         values[e] = ech.rank
@@ -133,8 +130,9 @@ def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:
                 [index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in monomial_basis(k, e)]
                 for i in range(k)
             ]
-            pivots = [[(j, c) for j, c in enumerate(r) if c] for r in ech.pivot_rows.values()]
-            rows = ({shift[j]: c for j, c in piv} for piv in pivots for shift in shifts)
+            # the pivot rows are bound here, before the next degree rebinds ech
+            rows = ({shift[j]: c for j, c in piv.items()}
+                    for piv in ech.pivot_rows.values() for shift in shifts)
     return ech.rank
 
 
@@ -205,15 +203,16 @@ def circuit_dependency(cols, p=None):
     """The one linear dependency of a circuit's columns.
 
     It comes in the canonical scale of forms: over Q primitive with a
-    positive first entry, over GF(p) with first entry 1.  Echelonizes the rows [v_i | e_i]: the v-parts span rank s - 1, so
-    exactly one stored row has its leading column at or past k, and its
-    e-part holds the coefficients c with sum c_i v_i = 0.
+    positive first entry, over GF(p) with first entry 1.  Echelonizes the
+    rows [v_i | e_i]: the v-parts span rank s - 1, so exactly one stored row
+    has its leading column at or past k, and its e-part holds the
+    coefficients c with sum c_i v_i = 0.
     """
     k, s = len(cols[0]), len(cols)
-    ech = IntEchelon(k + s, p)
+    ech = SparseIntEchelon(p)
     for i, col in enumerate(cols):
-        ech.add(tuple(col) + (0,) * i + (1,) + (0,) * (s - i - 1))
-    deps = [row[k:] for c, row in ech.pivot_rows.items() if c >= k]
+        ech.add({**dict(enumerate(col)), k + i: 1})
+    deps = [[row.get(j, 0) for j in range(k, k + s)] for c, row in ech.pivot_rows.items() if c >= k]
     if len(deps) != 1:
         raise AssertionError("columns %r have nullity %d, not 1" % (cols, len(deps)))
     return canonical_coeffs(deps[0], p)

@@ -81,6 +81,13 @@ def test_parse_round_trip():
 def test_parse_errors_name_the_field():
     with pytest.raises(InstanceError, match="malformed JSON"):
         parse_instance(b"{nope")
+    # json detects the encoding of bytes: a UTF-8 BOM and UTF-16 read as the
+    # plain text, and an undecodable byte is malformed JSON like any other
+    plain = '{"k":2,"forms":[{"coeffs":["1","-1/2"],"mult":2}]}'
+    for data in (b"\xef\xbb\xbf" + plain.encode(), plain.encode("utf-16")):
+        assert parse_instance(data) == parse_instance(plain)
+    with pytest.raises(InstanceError, match="malformed JSON"):
+        parse_instance(b'{"k": 1, "forms": [{"coeffs": ["\xff"]}]}')
     with pytest.raises(InstanceError, match=r"forms\[1\]\.coeffs"):
         parse_instance(
             '{"k":3,"forms":[{"coeffs":["1","0","0"],"mult":1},{"coeffs":["1","0"],"mult":1}]}'

@@ -157,6 +157,33 @@ def test_essentialize_rank1():
     assert ess.groups == (((1,), 2),)
 
 
+@pytest.mark.parametrize("p", [None, 3, 101])
+def test_essentialize_keeps_the_pivot_columns(p):
+    # the kept coordinates are the columns where the rank of the leading
+    # coefficient columns grows, whatever engine finds them
+    rng = random.Random(19)
+    cases = 0
+    for k in range(3, 7):
+        for r in range(1, k):
+            for _ in range(10):
+                basis = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+                raw = []
+                for _ in range(rng.randint(1, 6)):
+                    lam = [rng.randint(-2, 2) for _ in range(r)]
+                    form = [sum(x * b[c] for x, b in zip(lam, basis)) for c in range(k)]
+                    raw.append((form, rng.randint(1, 3)))
+                if gauss_rank([f for f, _ in raw], p) == 0:
+                    continue
+                sigma = FormCollection(k, raw, p)
+                forms = [f for f, _ in sigma.groups]
+                ranks = [gauss_rank([f[:c] for f in forms], p) for c in range(k + 1)]
+                pivots = [c for c in range(k) if ranks[c + 1] > ranks[c]]
+                kept = [(tuple(f[c] for c in pivots), m) for f, m in sigma.groups]
+                assert essentialize(sigma) == FormCollection(len(pivots), kept, p), sigma
+                cases += 1
+    assert cases > 100
+
+
 def test_essentialize_full_rank_is_identity(example_2_5):
     assert essentialize(example_2_5) is example_2_5
 
