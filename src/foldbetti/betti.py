@@ -26,8 +26,8 @@ the fold ideal and by genericity, both read off the generalized Hamming
 weights.  Weights, effective rank and T are memoized per collection
 (``matroid``, ``forms``).  Tables are reported for the effective rank, so
 collections are essentialized first; the recursion memo is keyed by
-(canonical collection, fold), which is all a table depends on.  Concurrent
-callers may duplicate work but always read complete immutable tables.
+(canonical collection, fold), which is all a table depends on.  Every memo
+table belongs to the store in ``forms``.
 """
 
 from __future__ import annotations
@@ -40,13 +40,15 @@ from .forms import (
     contract,
     delete,
     essentialize,
+    memo_put,
+    memo_table,
     normalize,
 )
 from .matroid import hamming_weights, height_of_fold_ideal, tutte_polynomial
 
 METHODS = ("auto", "recursion", "tutte_hk", "oracle")
 
-_recursion_cache = {}
+_recursion_cache = memo_table()
 
 
 class BettiTable(FrozenRecord):
@@ -227,9 +229,7 @@ def betti_recursion(sigma: FormCollection, a: int) -> BettiTable:
     hit = _recursion_cache.get(key)
     if hit is not None:
         return hit
-    table = _recursion_dispatch(ess, a)
-    _recursion_cache[key] = table
-    return table
+    return memo_put(_recursion_cache, key, _recursion_dispatch(ess, a))
 
 
 def _recursion_dispatch(ess, a):

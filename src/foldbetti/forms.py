@@ -22,9 +22,18 @@ which the flat enumerator in ``matroid`` shares); the chosen form's own
 copies vanish, and no other form does.
 
 The effective rank is memoized per collection, and :func:`essentialize`
-answers every full-rank collection from that memo.  Like the other memo
-tables, it behaves as a single logical map: concurrent callers may
-duplicate work, but never observe a torn entry.
+answers every full-rank collection from that memo.
+
+This module owns every memo table of the package: the full-rank table
+here, the flats, Hamming weights and Tutte polynomials in ``matroid``, the
+recursion tables in ``betti`` and the monomial bases in ``oracle``.  Each is
+a plain dict made by :func:`memo_table`; a hit is a ``dict.get``, and only a
+miss goes through :func:`memo_put`.  Together the tables hold at most
+``MEMO_LIMIT`` entries: the miss that finds them full empties every table
+before it stores, and :func:`clear_memos` empties them all at once.  Keys
+and values are immutable, and a computation keeps what it has read when a
+table is emptied under it, so concurrent callers may duplicate work but
+never observe a torn entry.
 """
 
 from __future__ import annotations
@@ -32,10 +41,60 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
+from threading import Lock
 
 from .exactlin import SparseIntEchelon, bareiss_rank
 
-_full_rank_cache = {}
+# Every fold of a random all-single k = 8, n = 22 collection under auto
+# fills 395,365 entries; 2^19 lets it finish without a clear.
+MEMO_LIMIT = 1 << 19
+
+_memo_tables = []
+_memo_lock = Lock()
+_memo_stores = 0  # stores since the last clear: at least the entries held
+
+
+def memo_table() -> dict:
+    """A new, empty memo table, bounded and cleared with all the others."""
+    table = {}
+    _memo_tables.append(table)
+    return table
+
+
+def memo_put(table: dict, key, value):
+    """Store ``value`` under ``key`` in a memo table and return it.
+
+    When the tables together may already hold ``MEMO_LIMIT`` entries, every
+    one is emptied first, so the total never exceeds the limit.
+    """
+    global _memo_stores
+    with _memo_lock:
+        if _memo_stores >= MEMO_LIMIT:
+            _clear()
+        _memo_stores += 1
+        table[key] = value
+    return value
+
+
+def memo_entries() -> int:
+    """The number of entries the memo tables hold together."""
+    return sum(map(len, _memo_tables))
+
+
+def clear_memos():
+    """Empty every memo table, so that the next call computes afresh."""
+    with _memo_lock:
+        _clear()
+
+
+def _clear():
+    global _memo_stores
+    for table in _memo_tables:
+        table.clear()
+    _memo_stores = 0
+
+
+_full_rank_cache = memo_table()
 
 
 def canonical_coeffs(coeffs, p=None):
@@ -226,8 +285,7 @@ def full_rank(sigma: FormCollection) -> int:
     r = _full_rank_cache.get(sigma)
     if r is None:
         # one form per group: copies never raise the rank
-        r = bareiss_rank([coeffs for coeffs, _ in sigma.groups], sigma.p)
-        _full_rank_cache[sigma] = r
+        r = memo_put(_full_rank_cache, sigma, bareiss_rank([coeffs for coeffs, _ in sigma.groups], sigma.p))
     return r
 
 

@@ -14,11 +14,8 @@ next rank with F.  The flats depend only on the set of forms, so they are
 memoized by it.  The weights count each flat with the collection's
 multiplicities, so they are memoized by the collection itself: the
 dispatcher reads them at every recursion node and fold, and each
-collection is weighted once.
-
-The memo tables behave as single logical maps: concurrent callers may
-duplicate work but dict reads/writes of immutable values are atomic, so no
-torn entry can be observed.
+collection is weighted once.  The memo tables belong to the store in
+``forms``.
 """
 
 from __future__ import annotations
@@ -37,11 +34,13 @@ from .forms import (
     essentialize,
     full_rank,
     images_modulo,
+    memo_put,
+    memo_table,
 )
 
-_flats_cache = {}
-_hamming_cache = {}
-_tutte_cache = {}
+_flats_cache = memo_table()
+_hamming_cache = memo_table()
+_tutte_cache = memo_table()
 
 
 def subset_rank(sigma: FormCollection, subset) -> int:
@@ -113,9 +112,7 @@ def _flats(sigma):
         levels.append(tuple(covers))
         frontier = covers
     levels.append(((1 << len(forms)) - 1,))
-    result = (forms, tuple(levels))
-    _flats_cache[key] = result
-    return result
+    return memo_put(_flats_cache, key, (forms, tuple(levels)))
 
 
 def _multiplicity_layers(sigma, forms):
@@ -166,7 +163,7 @@ def hamming_weights(sigma: FormCollection) -> HammingWeights:
         layers = _multiplicity_layers(sigma, forms)
         n = sigma.n
         weights = HammingWeights(tuple(n - max(_sizes(levels[k - r], layers)) for r in range(1, k + 1)))
-        _hamming_cache[sigma] = weights
+        memo_put(_hamming_cache, sigma, weights)
     return weights
 
 
@@ -232,8 +229,7 @@ def tutte_polynomial(sigma: FormCollection) -> TuttePoly:
     poly = TuttePoly(result)
     if poly.evaluate(1, 1) <= 0:
         raise AssertionError("Tutte polynomial lost its bases count")
-    _tutte_cache[sigma] = poly
-    return poly
+    return memo_put(_tutte_cache, sigma, poly)
 
 
 def tutte_shifted_coeffs(tp: TuttePoly):

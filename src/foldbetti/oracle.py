@@ -18,13 +18,12 @@ instances whose matrices would not fit a quick exact computation.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .betti import BettiTable
 from .exactlin import SparseIntEchelon
-from .forms import FormCollection, Record, canonical_coeffs, essentialize
+from .forms import FormCollection, Record, canonical_coeffs, essentialize, memo_put, memo_table
 from .matroid import circuits_up_to
 
 CELL_LIMIT = 5_000_000
@@ -35,16 +34,26 @@ class OracleLimitError(Exception):
     """The instance exceeds the oracle's desk-scale guardrails."""
 
 
-@lru_cache(maxsize=None)
+_basis_cache = memo_table()
+
+
 def monomial_basis(k: int, d: int):
-    """Exponent tuples of total degree d, descending lexicographic."""
-    if k == 1:
-        return ((d,),)
-    out = []
-    for e0 in range(d, -1, -1):
-        for rest in monomial_basis(k - 1, d - e0):
-            out.append((e0,) + rest)
-    return tuple(out)
+    """Exponent tuples of total degree d, descending lexicographic.
+
+    Each multiset of d variables, taken in ``combinations_with_replacement``
+    order, counts into one exponent tuple; that order is descending
+    lexicographic on the exponents.
+    """
+    basis = _basis_cache.get((k, d))
+    if basis is None:
+        out = []
+        for variables in combinations_with_replacement(range(k), d):
+            exp = [0] * k
+            for i in variables:
+                exp[i] += 1
+            out.append(tuple(exp))
+        basis = memo_put(_basis_cache, (k, d), tuple(out))
+    return basis
 
 
 def _poly_mul_linear(poly, form, p):

@@ -1,6 +1,6 @@
 """Shared fixtures: the worked examples as collections, random generators
 (Hypothesis strategies among them), the naive reference eliminator, the
-plain-matrix Hilbert function, a helper that empties the memo tables, and a
+plain-matrix Hilbert function, the reset that empties the memo tables, and a
 terminal-summary hook that prints one line per acceptance criterion."""
 
 import random
@@ -12,6 +12,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from foldbetti import normalize
+from foldbetti.forms import clear_memos  # the store's one reset, for the tests
 from foldbetti.oracle import monomial_basis
 
 
@@ -117,20 +118,6 @@ def example_3_6():
         ((1, 1, -2), 1),
     ]
     return normalize(raw, 3)
-
-
-def clear_memos():
-    """Empty every memo table of the package, so that the next call computes afresh.
-
-    The tables are the module-level dicts named ``*_cache`` in ``forms``,
-    ``matroid`` and ``betti``.
-    """
-    from foldbetti import betti, forms, matroid
-
-    for module in (forms, matroid, betti):
-        for name, table in vars(module).items():
-            if name.endswith("_cache") and isinstance(table, dict):
-                table.clear()
 
 
 def make_random_collection(rng, max_k=3, max_n=8, coeff_bound=3, max_mult=3):

@@ -1,5 +1,7 @@
 """Closed forms, the recursion, block elimination, and method dispatch."""
 
+import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -30,6 +32,7 @@ from foldbetti import (
     normalize,
 )
 
+from foldbetti import forms as forms_mod
 from foldbetti.betti import is_generic
 
 from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections, small_collections
@@ -539,18 +542,49 @@ def test_b1_equals_hilbert_function(rng):
             assert betti_recursion(sigma, a).b[0] == hilbert_function(sigma, a, a)
 
 
-def test_concurrent_recursion_is_consistent(example_2_5):
+def test_concurrent_recursion_is_consistent(example_2_5, monkeypatch):
+    # the second run's limit of 8 makes the store empty every table many
+    # times while the threads read and fill them
     from concurrent.futures import ThreadPoolExecutor
 
-    import foldbetti.betti as betti_mod
-
-    betti_mod._recursion_cache.clear()
+    clear_memos()
     expected = {a: betti_recursion(example_2_5, a).b for a in range(1, 8)}
-    betti_mod._recursion_cache.clear()
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [
-            pool.submit(betti_recursion, example_2_5, a) for a in range(1, 8) for _ in range(3)
-        ]
-        results = [f.result() for f in futures]
-    for table in results:
-        assert table.b == expected[table.a]
+    assert forms_mod.memo_entries() > 8
+    for limit in (forms_mod.MEMO_LIMIT, 8):
+        clear_memos()
+        monkeypatch.setattr(forms_mod, "MEMO_LIMIT", limit)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(betti_recursion, example_2_5, a) for a in range(1, 8) for _ in range(3)
+                ]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for table in results:
+            assert table.b == expected[table.a]
+        assert forms_mod.memo_entries() <= limit
+
+
+def test_library_caller_keeps_a_bounded_memo(monkeypatch):
+    # a long-lived caller sends many collections through compute_betti: the
+    # store never holds more than its limit, and emptying it mid-computation
+    # changes no table
+    rng = random.Random(5)
+    cases = [make_random_collection(rng, max_k=5, max_n=9) for _ in range(300)]
+    expected = []
+    for sigma in cases:
+        clear_memos()
+        expected.append([compute_betti(sigma, a, method) for method in ("auto", "recursion")
+                         for a in range(1, sigma.n + 1)])
+    monkeypatch.setattr(forms_mod, "MEMO_LIMIT", 64)
+    clear_memos()
+    for sigma, want in zip(cases, expected):
+        got = []
+        for method in ("auto", "recursion"):
+            for a in range(1, sigma.n + 1):
+                got.append(compute_betti(sigma, a, method))
+                assert forms_mod.memo_entries() <= 64
+        assert got == want, sigma

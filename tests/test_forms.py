@@ -16,9 +16,10 @@ from foldbetti import (
     normalize,
     subset_rank,
 )
-from foldbetti.forms import FormCollection, canonical_coeffs
+from foldbetti import forms, oracle
+from foldbetti.forms import FormCollection, canonical_coeffs, full_rank
 
-from conftest import gauss_rank, make_random_collection, raw_collections
+from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections
 
 
 def test_normalize_merges_proportional():
@@ -269,3 +270,17 @@ def test_constructor_canonicalizes_each_form_once(monkeypatch):
     raw = [((1, 0, 0), 1), ((0, 2, 0), 2), ((1, 1, 1), 1), ((-1, 2, 3), 3)]
     assert normalize(raw, 3).t == len(raw)
     assert len(calls) == len(raw)
+
+
+def test_the_store_empties_every_table_together(example_2_5, monkeypatch):
+    # two monomial bases fill a store of limit 2; the next miss, in another
+    # table, empties both tables before it stores
+    monkeypatch.setattr(forms, "MEMO_LIMIT", 2)
+    clear_memos()
+    oracle.monomial_basis(2, 1)
+    oracle.monomial_basis(2, 2)
+    assert forms.memo_entries() == 2
+    assert full_rank(example_2_5) == 3
+    assert oracle._basis_cache == {} and forms._full_rank_cache == {example_2_5: 3}
+    clear_memos()
+    assert forms.memo_entries() == 0

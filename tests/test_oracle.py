@@ -169,6 +169,23 @@ def test_monomial_basis_order():
     assert len(monomial_basis(3, 4)) == comb(6, 2)
 
 
+def _monomial_basis_reference(k, d):
+    """Descending lexicographic exponents: the first exponent d down to 0, each
+    followed by the basis of the rest in k - 1 variables."""
+    if k == 1:
+        return ((d,),)
+    return tuple((e0,) + rest for e0 in range(d, -1, -1) for rest in _monomial_basis_reference(k - 1, d - e0))
+
+
+def test_monomial_basis_matches_the_recursive_reference_and_needs_no_depth():
+    for k in range(1, 5):
+        for d in range(6):
+            assert monomial_basis(k, d) == _monomial_basis_reference(k, d), (k, d)
+    # one variable per level would pass the interpreter's recursion limit
+    basis = monomial_basis(1200, 1)
+    assert len(basis) == 1200 and basis[0] == (1,) + (0,) * 1199 and basis[-1] == (0,) * 1199 + (1,)
+
+
 def test_arrangement_relation_rank_matches_flats(rng):
     for _ in range(4):
         arrangement = make_random_arrangement(rng, 6)
