@@ -55,6 +55,7 @@ def subset_rank(sigma: FormCollection, subset) -> int:
 def circuits_up_to(sigma: FormCollection, max_len: int):
     """All circuits (minimal dependent column sets) of size <= max_len.
 
+    No circuit has more than rank + 1 elements, so no larger set is tried.
     Candidates containing a smaller circuit are skipped, so a surviving
     dependent set is automatically minimal.
     """
@@ -63,10 +64,11 @@ def circuits_up_to(sigma: FormCollection, max_len: int):
         raise ValueError("max_len %d out of range 1..%d" % (max_len, n))
     cols = sigma.expanded_columns()
     circuits = []
-    for size in range(1, max_len + 1):
+    for size in range(1, min(max_len, full_rank(sigma) + 1) + 1):
+        smaller = tuple(circuits)  # no circuit lies inside another of its size
         for cand in combinations(range(n), size):
             cset = set(cand)
-            if any(c <= cset for c in circuits):
+            if any(c <= cset for c in smaller):
                 continue
             if bareiss_rank([cols[i] for i in cand], sigma.p) < size:
                 circuits.append(frozenset(cand))

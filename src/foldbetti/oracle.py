@@ -10,7 +10,13 @@ The Hilbert function climbs the chain I_{d+1} = S_1 * I_d, as in the
 Macaulay-matrix step of Lazard (1983) and Faugere's F4 (1999): each degree
 echelonizes x_1..x_k times the echelon basis of the degree below.  Once a
 degree is full, every later one is, and its value is dim S_d.  A fold's
-Betti table or HF report climbs once, to its largest degree.
+Betti table or HF report climbs once, to its largest degree, from the
+distinct fold products: one per exponent vector over the groups.
+
+The circuit oracle enumerates a collection's circuits and dependencies once,
+in a memo table that every fold filters by size.  The relation vectors of
+one support U (circuit and divisor) are an injective image of their
+dependencies, so only those with a new dependency in U are ranked.
 
 These are verifiers, not production paths: desk-scale guardrails refuse
 instances whose matrices would not fit a quick exact computation.
@@ -18,7 +24,7 @@ instances whose matrices would not fit a quick exact computation.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from .betti import BettiTable
@@ -35,65 +41,79 @@ class OracleLimitError(Exception):
 
 
 _basis_cache = memo_table()
+_relations_cache = memo_table()
 
 
 def monomial_basis(k: int, d: int):
     """Exponent tuples of total degree d, descending lexicographic.
 
-    Each multiset of d variables, taken in ``combinations_with_replacement``
-    order, counts into one exponent tuple; that order is descending
-    lexicographic on the exponents.
+    Each successor moves one unit from the last nonzero exponent before x_k
+    one place right and gathers x_k's exponent there, in O(k) steps, from
+    (d, 0, ..., 0) down to (0, ..., 0, d).
     """
     basis = _basis_cache.get((k, d))
     if basis is None:
-        out = []
-        for variables in combinations_with_replacement(range(k), d):
-            exp = [0] * k
-            for i in variables:
-                exp[i] += 1
+        exp, out = [d] + [0] * (k - 1), []
+        while True:
             out.append(tuple(exp))
+            i = next((i for i in range(k - 2, -1, -1) if exp[i]), -1)
+            if i < 0:
+                break
+            exp[i], exp[-1], exp[i + 1] = exp[i] - 1, 0, exp[-1] + 1
         basis = memo_put(_basis_cache, (k, d), tuple(out))
     return basis
 
 
-def _poly_mul_linear(poly, form, p):
-    out = {}
-    for exp, c in poly.items():
-        for i, fi in enumerate(form):
-            if fi == 0:
-                continue
-            e2 = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
-            v = out.get(e2, 0) + c * fi
-            if p is not None:
-                v %= p
-            if v != 0:
-                out[e2] = v
-            elif e2 in out:
-                del out[e2]
-    return out
+def _shift_tables(k: int, d: int):
+    """For each variable x_i, the degree-(d+1) index of every degree-d monomial times x_i."""
+    index = {m: j for j, m in enumerate(monomial_basis(k, d + 1))}
+    return [[index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in monomial_basis(k, d)] for i in range(k)]
 
 
-def fold_generators(sigma: FormCollection, a: int):
-    """All C(n, a) fold products, expanded in the degree-a monomial basis.
+def _fold_rows(sigma: FormCollection, a: int):
+    """The distinct fold products l_1^e_1 ... l_t^e_t (e_g <= m_g, sum e_g = a)
+    as rows over the degree-a monomial indices, ints or residues mod p.
 
-    They come in ``combinations`` order, built depth first so that each
-    prefix product is computed once.  Coefficients are ints (residues mod p
-    over GF(p)).  Repeated forms give repeated polynomials; callers that
-    only need ranks deduplicate afterwards.
-    """
-    if not 1 <= a <= sigma.n:
-        raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
-    cols, n, out = sigma.expanded_columns(), sigma.n, []
+    Depth first, each level multiplies in the powers of the next group with
+    a positive exponent through index shifts, so exponent vectors descend
+    lexicographically: the order of first occurrence among the C(n, a)
+    products in ``combinations`` order."""
+    k, p, groups = sigma.k, sigma.p, sigma.groups
+    shifts = [_shift_tables(k, d) for d in range(a)]
+    room = [sum(m for _, m in groups[g:]) for g in range(len(groups))]
+    terms = [[(i, c) for i, c in enumerate(coeffs) if c] for coeffs, _ in groups]
+    out = []
 
     def extend(poly, start, left):
         if left == 0:
             out.append(poly)
             return
-        for j in range(start, n - left + 1):
-            extend(_poly_mul_linear(poly, cols[j], sigma.p), j + 1, left - 1)
+        for g in range(start, len(groups)):
+            if left > room[g]:
+                break
+            powers = [poly]
+            for d in range(a - left, a - left + min(groups[g][1], left)):
+                prod = {}
+                for i, c in terms[g]:
+                    shift = shifts[d][i]
+                    for j, w in powers[-1].items():
+                        prod[shift[j]] = prod.get(shift[j], 0) + c * w
+                powers.append({m: w for m, w in prod.items() if w} if p is None
+                              else {m: w % p for m, w in prod.items() if w % p})
+            for e in range(len(powers) - 1, 0, -1):
+                extend(powers[e], g + 1, left - e)
 
-    extend({(0,) * sigma.k: 1}, 0, a)
+    extend({0: 1}, 0, a)
     return out
+
+
+def fold_generators(sigma: FormCollection, a: int):
+    """The distinct fold products of :func:`_fold_rows`, in the same order,
+    expanded in the degree-a monomial basis."""
+    if not 1 <= a <= sigma.n:
+        raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
+    basis = monomial_basis(sigma.k, a)
+    return [{basis[j]: c for j, c in row.items()} for row in _fold_rows(sigma, a)]
 
 
 def _check_cells(sigma: FormCollection, a: int, d: int):
@@ -112,7 +132,7 @@ def _check_cells(sigma: FormCollection, a: int, d: int):
 def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:
     """dim of the degree-d piece of the fold ideal, by exact row ranks.
 
-    Degree a echelonizes the deduplicated fold products.  Degree e + 1
+    Degree a echelonizes the distinct fold products.  Degree e + 1
     echelonizes x_1..x_k times every stored pivot row of degree e, each
     shifted by the index map from exponent m to m + e_i (I_{e+1} = S_1 * I_e).
     Once a degree is full, dim S_d is returned without building more rows.
@@ -123,22 +143,16 @@ def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
     _check_cells(sigma, a, d)
     k, values = sigma.k, {} if values is None else values
-    index = {m: i for i, m in enumerate(monomial_basis(k, a))}
-    unique = {tuple(sorted(g.items())): g for g in fold_generators(sigma, a)}
-    rows = [{index[m]: c for m, c in g.items()} for g in unique.values()]
+    rows = _fold_rows(sigma, a)
     for e in range(a, d + 1):
         ech = SparseIntEchelon(sigma.p)
         for row in rows:
-            if ech.add(row) and ech.rank == len(index):
+            if ech.add(row) and ech.rank == comb(k - 1 + e, k - 1):
                 values.update((f, comb(k - 1 + f, k - 1)) for f in range(e, d + 1))
                 return comb(k - 1 + d, k - 1)
         values[e] = ech.rank
         if e < d:  # I_{e+1} = S_1 * I_e
-            index = {m: i for i, m in enumerate(monomial_basis(k, e + 1))}
-            shifts = [
-                [index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in monomial_basis(k, e)]
-                for i in range(k)
-            ]
+            shifts = _shift_tables(k, e)
             # the pivot rows are bound here, before the next degree rebinds ech
             rows = ({shift[j]: c for j, c in piv.items()}
                     for piv in ech.pivot_rows.values() for shift in shifts)
@@ -227,6 +241,22 @@ def circuit_dependency(cols, p=None):
     return canonical_coeffs(deps[0], p)
 
 
+def _circuit_relations(sigma: FormCollection, max_len: int):
+    """Every circuit of at most ``max_len`` elements with its dependency,
+    memoized per collection with the largest ``max_len`` enumerated; a
+    larger one enumerates again, reusing the known dependencies."""
+    cached = _relations_cache.get(sigma)
+    if cached is None or cached[0] < max_len:
+        known = dict(cached[1]) if cached else {}
+        cols = sigma.expanded_columns()
+        pairs = tuple(
+            (c, known.get(c) or circuit_dependency([cols[j] for j in c], sigma.p))
+            for c in circuits_up_to(sigma, max_len)
+        )
+        cached = memo_put(_relations_cache, sigma, (max_len, pairs))
+    return [(c, dep) for c, dep in cached[1] if len(c) <= max_len]
+
+
 def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
     """Enumerate circuit-derived relation vectors and compute their rank.
 
@@ -234,7 +264,7 @@ def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
     of forms (see :func:`circuit_dependency`); every choice of n-s+1-a
     leftover columns to divide out produces one sparse vector.
     """
-    n = sigma.n
+    n, p = sigma.n, sigma.p
     if not 1 <= a <= n - 1:
         raise ValueError("fold %d out of range 1..%d" % (a, n - 1))
     ambient = comb(n, n - a)
@@ -243,19 +273,21 @@ def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
             "relation space has ambient dimension %d; limit is %d"
             % (ambient, RELATION_AMBIENT_LIMIT)
         )
-    cols = sigma.expanded_columns()
     position = {c: i for i, c in enumerate(combinations(range(n), n - a))}
-    generators = []
-    for circuit in circuits_up_to(sigma, n - a + 1):
-        s = len(circuit)
-        dep = circuit_dependency([cols[j] for j in circuit], sigma.p)
+    generators, local, independent = [], {}, []
+    for circuit, dep in _circuit_relations(sigma, n - a + 1):
         others = [u for u in range(n) if u not in circuit]
-        cset = set(circuit)
-        for divisor in combinations(others, n - s + 1 - a):
+        cset, relation = frozenset(circuit), dict(zip(circuit, dep))
+        for divisor in combinations(others, n - len(circuit) + 1 - a):
             support = cset.union(divisor)
-            generators.append({position[tuple(sorted(support - {j}))]: c for j, c in zip(circuit, dep)})
-    ech = SparseIntEchelon(sigma.p)
-    for vec in sorted(generators, key=max, reverse=True):  # rank is order-free
+            vec = {position[tuple(sorted(support - {j}))]: c for j, c in relation.items()}
+            generators.append(vec)
+            if support not in local:  # one echelon of dependencies per support
+                local[support] = SparseIntEchelon(p)
+            if local[support].add(relation):
+                independent.append(vec)
+    ech = SparseIntEchelon(p)
+    for vec in sorted(independent, key=max, reverse=True):  # rank is order-free
         ech.add(vec)
     return RelationSpace(a, ambient, generators, ech.rank)
 

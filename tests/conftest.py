@@ -67,6 +67,18 @@ def fold_products_reference(sigma, a):
     return out
 
 
+def distinct_products_reference(sigma, a):
+    """:func:`fold_products_reference` without repeats, each polynomial
+    where it first occurs."""
+    seen, out = set(), []
+    for poly in fold_products_reference(sigma, a):
+        key = tuple(sorted(poly.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(poly)
+    return out
+
+
 def hilbert_function_reference(sigma, a, d):
     """HF(I_a, d) as the rank of the plain matrix: every fold product times
     every monomial of degree d - a, all C(n, a) * dim S_{d-a} rows, in the

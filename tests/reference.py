@@ -17,14 +17,16 @@ so they stay here as independent references:
 - :func:`tutte_polynomial_subset_sum`, the subset-sum definition of the
   Tutte polynomial;
 - :func:`hamming_weights_crapo`, the generalized Hamming weights read off
-  the Tutte polynomial.
+  the Tutte polynomial;
+- :class:`CrossMultipliedEchelon`, the sparse echelon whose update scales
+  the row by the whole pivot, beside ``SparseIntEchelon``'s gcd-reduced one.
 """
 
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from foldbetti.betti import BettiTable, _entry, _zero_table, betti_rank2
-from foldbetti.exactlin import bareiss_rank
+from foldbetti.exactlin import SparseIntEchelon, bareiss_rank
 from foldbetti.forms import FormCollection, contract, drop_group, essentialize
 from foldbetti.matroid import TuttePoly, _flats, _multiplicity_layers, _sizes, full_rank, tutte_polynomial
 
@@ -214,3 +216,39 @@ def hamming_weights_crapo(sigma: FormCollection) -> tuple:
                 shifted[(i2, j2)] = shifted.get((i2, j2), 0) + comb(i, i2) * comb(j, j2) * c
     support = [(i, j) for (i, j), c in shifted.items() if c]
     return tuple(n - max(j + k - i for i, j in support if i >= r) for r in range(1, k + 1))
+
+
+class CrossMultipliedEchelon(SparseIntEchelon):
+    """:class:`SparseIntEchelon` with the update ``pivot * row - entry * pivot_row``
+    taken on the whole pivot and entry, not on them divided by their gcd."""
+
+    def add(self, row) -> bool:
+        p, pivot_rows = self.p, self.pivot_rows
+        if p is None:
+            row = {j: v for j, v in row.items() if v}
+        else:
+            row = {j: v % p for j, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            piv = pivot_rows.get(c)
+            if piv is None:
+                if p is None:
+                    g = gcd(*row.values())
+                    if g > 1:
+                        for j in row:
+                            row[j] //= g
+                pivot_rows[c] = row
+                return True
+            v, pv = row[c], piv[c]
+            if pv != 1:
+                for j, w in row.items():
+                    row[j] = w * pv if p is None else w * pv % p
+            for j, w in piv.items():  # column c cancels with the rest
+                x = row.get(j, 0) - v * w
+                if p is not None:
+                    x %= p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        return False

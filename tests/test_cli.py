@@ -490,6 +490,17 @@ def test_hamming_weights_of_a_huge_multiplicity_are_quick(tmp_path):
     assert json.loads(child.stdout)["hamming"] == [2, 3, 3000003]
 
 
+def test_verify_fold_1_of_24_generic_forms_is_quick(tmp_path):
+    # fold 1 asks for circuits of up to n = 24 columns, but none has more
+    # than rank + 1 = 4; every larger subset once went through a rank test
+    doc = {"k": 3, "forms": [{"coeffs": ["1", str(t), str(t * t)]} for t in range(1, 25)]}
+    child = run_child(["verify", "--input", write_instance(tmp_path, doc), "--fold", "1", "--json"],
+                      timeout=30)
+    assert child.returncode == 0, child.stderr
+    (fold,) = json.loads(child.stdout)["results"]
+    assert fold["verdict"] == "agree" and fold["methods"]["circuit_b1"] == 3
+
+
 def test_main_out_of_memory_exits_3_without_traceback(tmp_path):
     resource = pytest.importorskip("resource")
     # listing 10^10 folds needs far more than the 400 MB address space the child gets

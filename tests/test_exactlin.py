@@ -14,6 +14,7 @@ from foldbetti.forms import FormCollection, canonical_coeffs, images_modulo, nor
 from foldbetti.oracle import circuit_dependency
 
 from conftest import gauss_rank
+from reference import CrossMultipliedEchelon
 
 G_2_5 = [
     (1, 1, 0, 0, 1, 0, 1),
@@ -232,3 +233,22 @@ def test_sparse_echelon_invariants(p, rows):
             if p is None:
                 assert gcd(*row.values()) == 1
     assert rows == snapshot
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+def test_gcd_reduced_update_stores_the_cross_multiplied_rows(p):
+    # entries rich in common factors give pivots and entries whose gcd is
+    # above 1, which the gcd-reduced update divides out first
+    rng = random.Random(13)
+    entries = [0, 0, 0, 1, -1, 2, -2, 3, -4, 6, -6, 9, 12, -18]
+    shared = 0
+    for _ in range(60):
+        width = rng.randint(2, 8)
+        rows = [{j: rng.choice(entries) for j in range(width)} for _ in range(rng.randint(1, 10))]
+        ech, ref = SparseIntEchelon(p), CrossMultipliedEchelon(p)
+        for row in rows:
+            for c, piv in ech.pivot_rows.items():
+                shared += row.get(c, 0) != 0 and gcd(row[c], piv[c]) > 1
+            assert ech.add(row) == ref.add(row)
+        assert ech.pivot_rows == ref.pivot_rows
+    assert shared > 50

@@ -16,16 +16,19 @@ from foldbetti import (
     normalize,
     relation_space,
 )
-from foldbetti import oracle
+from foldbetti import forms, oracle
+from foldbetti.forms import clear_memos
+from foldbetti.matroid import circuits_up_to
 from foldbetti.oracle import OracleLimitError, hf_report, monomial_basis
 
 from conftest import (
-    fold_products_reference,
+    distinct_products_reference,
     gauss_rank,
     hilbert_function_reference,
     make_random_arrangement,
     make_random_collection,
     raw_collections,
+    small_collections,
 )
 from reference import rank2_flats
 
@@ -35,9 +38,19 @@ def distinct_polys(polys):
 
 
 def test_fold_generators_small(example_4_3):
+    # one product per exponent vector (3, 0), (2, 1), (1, 2), not C(5, 3) = 10
     gens = fold_generators(example_4_3, 3)
-    assert len(gens) == comb(5, 3)
-    assert distinct_polys(gens) == {(((3, 0), 1),), (((2, 1), 1),), (((1, 2), 1),)}
+    assert gens == [{(3, 0): 1}, {(2, 1): 1}, {(1, 2): 1}]
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(collection=small_collections())
+def test_fold_generators_are_the_distinct_products_in_first_occurrence_order(p, collection):
+    k, raw = collection
+    sigma = normalize(raw, k, p)
+    for a in range(1, sigma.n + 1):
+        assert fold_generators(sigma, a) == distinct_products_reference(sigma, a)
 
 
 def test_fold_generators_extremes(example_4_3):
@@ -132,6 +145,46 @@ def test_relation_generator_counts(rng):
             assert len(space.generators) == expected
 
 
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(collection=small_collections())
+def test_relation_space_is_order_free_and_ranks_its_generators(p, collection):
+    k, raw = collection
+    sigma = normalize(raw, k, p)
+    folds = range(1, sigma.n)
+    enumerations = []
+
+    def counted(sigma, max_len):
+        enumerations.append(max_len)
+        return circuits_up_to(sigma, max_len)
+
+    clear_memos()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "circuits_up_to", counted)
+        ascending = [relation_space(sigma, a) for a in folds]
+    assert enumerations == [sigma.n][: len(folds)]  # fold 1 enumerates for all
+    clear_memos()
+    descending = [relation_space(sigma, a) for a in reversed(folds)][::-1]
+    fresh = []
+    for a in folds:
+        clear_memos()
+        fresh.append(relation_space(sigma, a))
+    assert ascending == descending == fresh
+    for space in ascending:
+        dense = [[vec.get(c, 0) for c in range(space.ambient_dim)] for vec in space.generators]
+        assert space.rank == gauss_rank(dense, p)
+
+
+def test_circuit_relations_live_in_the_memo_store(example_4_3):
+    clear_memos()
+    relation_space(example_4_3, 3)
+    # the circuit enumeration ranks the collection once, in the full-rank table
+    assert list(oracle._relations_cache) == [example_4_3]
+    assert forms.memo_entries() == 2
+    clear_memos()
+    assert oracle._relations_cache == {} and forms.memo_entries() == 0
+
+
 def test_b1_via_circuits_values(example_4_3, example_2_5):
     assert b1_via_circuits(example_4_3, 3) == comb(5, 2) - 7 == 3
     assert b1_via_circuits(example_2_5, 4) == 14 == betti_tutte(example_2_5, 4).b[0]
@@ -217,7 +270,7 @@ def test_hilbert_function_matches_plain_matrix(p, collection, inert):
     assume(any(any(c) for c, _ in raw))
     sigma = normalize(raw, k, p)
     for a in range(1, sigma.n + 1):
-        assert fold_generators(sigma, a) == fold_products_reference(sigma, a)
+        assert fold_generators(sigma, a) == distinct_products_reference(sigma, a)
         values = {}  # every degree of one climb to the top
         hilbert_function(sigma, a, a + k + 1, values)
         assert sorted(values) == list(range(a, a + k + 2))
