@@ -178,6 +178,8 @@ def _resolve_folds(command, folds, n, allow_trivial):
     only with ``allow_trivial``.
     """
     if folds is None:
+        if n > sys.maxsize:  # past what a list can hold
+            raise CommandError("n = %d folds are too many to run them all; pass --fold A" % n)
         return list(range(1, n + 1))
     takes_trivial = command in ("betti", "verify")
     for a in folds:

@@ -26,9 +26,9 @@ answers every full-rank collection from that memo.
 
 This module owns every memo table of the package: the full-rank table
 here, the flats, Hamming weights and Tutte polynomials in ``matroid``, the
-recursion tables in ``betti`` and the monomial bases and circuit relations
-in ``oracle``.  Each is a plain dict made by :func:`memo_table`; a hit is a
-``dict.get``, and only a miss goes through :func:`memo_put`.  Together the
+recursion tables in ``betti`` and the circuit relations in ``oracle``.
+Each is a plain dict made by :func:`memo_table`; a hit is a ``dict.get``,
+and only a miss goes through :func:`memo_put`.  Together the
 tables hold at most ``MEMO_LIMIT`` entries: the miss that finds them full
 empties every table before it stores, and :func:`clear_memos` empties them
 all at once.  Keys and values are immutable, and a computation keeps what

@@ -9,7 +9,9 @@ the combinatorial shortcuts they are meant to verify.
 The Hilbert function climbs the chain I_{d+1} = S_1 * I_d, as in the
 Macaulay-matrix step of Lazard (1983) and Faugere's F4 (1999): each degree
 echelonizes x_1..x_k times the echelon basis of the degree below.  Once a
-degree is full, every later one is, and its value is dim S_d.  A fold's
+degree is full, every later one is, and its value is dim S_d.  Monomials
+are integer keys on which each x_i acts by subtracting a constant (see
+:func:`_steps`), so no degree builds a basis or an index table.  A fold's
 Betti table or HF report climbs once, to its largest degree, from the
 distinct fold products: one per exponent vector over the groups.
 
@@ -40,48 +42,35 @@ class OracleLimitError(Exception):
     """The instance exceeds the oracle's desk-scale guardrails."""
 
 
-_basis_cache = memo_table()
 _relations_cache = memo_table()
 
 
-def monomial_basis(k: int, d: int):
-    """Exponent tuples of total degree d, descending lexicographic.
+def _steps(k: int, top: int):
+    """How much multiplying by x_1, ..., x_k lowers a monomial key.
 
-    Each successor moves one unit from the last nonzero exponent before x_k
-    one place right and gathers x_k's exponent there, in O(k) steps, from
-    (d, 0, ..., 0) down to (0, ..., 0, d).
+    In a climb to degree ``top``, with B = top + 1, the monomial with
+    exponents m is keyed by its first k - 1 exponents as the base-B digits
+    top - m_i, most significant first, so the monomial 1 is B^(k-1) - 1.
+    Every row is homogeneous, so x_k's exponent is implied, and within a
+    degree ascending keys are descending lexicographic exponents.
+    Multiplying by x_i lowers the key by B^(k-1-i), by 0 for x_k.
     """
-    basis = _basis_cache.get((k, d))
-    if basis is None:
-        exp, out = [d] + [0] * (k - 1), []
-        while True:
-            out.append(tuple(exp))
-            i = next((i for i in range(k - 2, -1, -1) if exp[i]), -1)
-            if i < 0:
-                break
-            exp[i], exp[-1], exp[i + 1] = exp[i] - 1, 0, exp[-1] + 1
-        basis = memo_put(_basis_cache, (k, d), tuple(out))
-    return basis
+    return [(top + 1) ** (k - 2 - i) for i in range(k - 1)] + [0]
 
 
-def _shift_tables(k: int, d: int):
-    """For each variable x_i, the degree-(d+1) index of every degree-d monomial times x_i."""
-    index = {m: j for j, m in enumerate(monomial_basis(k, d + 1))}
-    return [[index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in monomial_basis(k, d)] for i in range(k)]
-
-
-def _fold_rows(sigma: FormCollection, a: int):
+def _fold_rows(sigma: FormCollection, a: int, top: int):
     """The distinct fold products l_1^e_1 ... l_t^e_t (e_g <= m_g, sum e_g = a)
-    as rows over the degree-a monomial indices, ints or residues mod p.
+    as rows over the monomial keys of a climb to degree ``top``, ints or
+    residues mod p.
 
     Depth first, each level multiplies in the powers of the next group with
-    a positive exponent through index shifts, so exponent vectors descend
+    a positive exponent through key steps, so exponent vectors descend
     lexicographically: the order of first occurrence among the C(n, a)
     products in ``combinations`` order."""
     k, p, groups = sigma.k, sigma.p, sigma.groups
-    shifts = [_shift_tables(k, d) for d in range(a)]
+    steps = _steps(k, top)
     room = [sum(m for _, m in groups[g:]) for g in range(len(groups))]
-    terms = [[(i, c) for i, c in enumerate(coeffs) if c] for coeffs, _ in groups]
+    terms = [[(steps[i], c) for i, c in enumerate(coeffs) if c] for coeffs, _ in groups]
     out = []
 
     def extend(poly, start, left):
@@ -92,28 +81,32 @@ def _fold_rows(sigma: FormCollection, a: int):
             if left > room[g]:
                 break
             powers = [poly]
-            for d in range(a - left, a - left + min(groups[g][1], left)):
+            for _ in range(min(groups[g][1], left)):
                 prod = {}
-                for i, c in terms[g]:
-                    shift = shifts[d][i]
+                for step, c in terms[g]:
                     for j, w in powers[-1].items():
-                        prod[shift[j]] = prod.get(shift[j], 0) + c * w
+                        prod[j - step] = prod.get(j - step, 0) + c * w
                 powers.append({m: w for m, w in prod.items() if w} if p is None
                               else {m: w % p for m, w in prod.items() if w % p})
             for e in range(len(powers) - 1, 0, -1):
                 extend(powers[e], g + 1, left - e)
 
-    extend({0: 1}, 0, a)
+    extend({(top + 1) ** (k - 1) - 1: 1}, 0, a)
     return out
 
 
 def fold_generators(sigma: FormCollection, a: int):
     """The distinct fold products of :func:`_fold_rows`, in the same order,
-    expanded in the degree-a monomial basis."""
+    each a dict from exponent tuple to coefficient."""
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
-    basis = monomial_basis(sigma.k, a)
-    return [{basis[j]: c for j, c in row.items()} for row in _fold_rows(sigma, a)]
+    digits = _steps(sigma.k, a)[:-1]
+
+    def exponents(key):  # x_1..x_{k-1} from the key's digits, x_k from the degree
+        head = [a - key // step % (a + 1) for step in digits]
+        return (*head, a - sum(head))
+
+    return [{exponents(j): c for j, c in row.items()} for row in _fold_rows(sigma, a, a)]
 
 
 def _check_cells(sigma: FormCollection, a: int, d: int):
@@ -134,7 +127,7 @@ def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:
 
     Degree a echelonizes the distinct fold products.  Degree e + 1
     echelonizes x_1..x_k times every stored pivot row of degree e, each
-    shifted by the index map from exponent m to m + e_i (I_{e+1} = S_1 * I_e).
+    monomial key lowered by x_i's constant step (I_{e+1} = S_1 * I_e).
     Once a degree is full, dim S_d is returned without building more rows.
     A dict ``values`` receives HF(e) for every e in a..d on the way, dim S_e
     from the first full degree on, so one climb serves a whole table.
@@ -143,7 +136,7 @@ def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
     _check_cells(sigma, a, d)
     k, values = sigma.k, {} if values is None else values
-    rows = _fold_rows(sigma, a)
+    steps, rows = _steps(k, d), _fold_rows(sigma, a, d)
     for e in range(a, d + 1):
         ech = SparseIntEchelon(sigma.p)
         for row in rows:
@@ -152,10 +145,9 @@ def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:
                 return comb(k - 1 + d, k - 1)
         values[e] = ech.rank
         if e < d:  # I_{e+1} = S_1 * I_e
-            shifts = _shift_tables(k, e)
             # the pivot rows are bound here, before the next degree rebinds ech
-            rows = ({shift[j]: c for j, c in piv.items()}
-                    for piv in ech.pivot_rows.values() for shift in shifts)
+            rows = ({j - step: c for j, c in piv.items()}
+                    for piv in ech.pivot_rows.values() for step in steps)
     return ech.rank
 
 

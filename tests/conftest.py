@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from foldbetti import normalize
 from foldbetti.forms import clear_memos  # the store's one reset, for the tests
-from foldbetti.oracle import monomial_basis
+from reference import monomial_basis
 
 
 def gauss_rank(rows, p=None):

@@ -19,7 +19,10 @@ so they stay here as independent references:
 - :func:`hamming_weights_crapo`, the generalized Hamming weights read off
   the Tutte polynomial;
 - :class:`CrossMultipliedEchelon`, the sparse echelon whose update scales
-  the row by the whole pivot, beside ``SparseIntEchelon``'s gcd-reduced one.
+  the row by the whole pivot, beside ``SparseIntEchelon``'s gcd-reduced one;
+- :func:`monomial_basis`, the exponent tuples of one degree in descending
+  lexicographic order, which index the plain Hilbert matrix of
+  ``conftest.hilbert_function_reference`` beside the oracle's integer keys.
 """
 
 from itertools import combinations
@@ -252,3 +255,19 @@ class CrossMultipliedEchelon(SparseIntEchelon):
                 else:
                     del row[j]
         return False
+
+
+def monomial_basis(k: int, d: int):
+    """Exponent tuples of total degree d, descending lexicographic.
+
+    Each successor moves one unit from the last nonzero exponent before x_k
+    one place right and gathers x_k's exponent there, in O(k) steps, from
+    (d, 0, ..., 0) down to (0, ..., 0, d).
+    """
+    exp, out = [d] + [0] * (k - 1), []
+    while True:
+        out.append(tuple(exp))
+        i = next((i for i in range(k - 2, -1, -1) if exp[i]), -1)
+        if i < 0:
+            return tuple(out)
+        exp[i], exp[-1], exp[i + 1] = exp[i] - 1, 0, exp[-1] + 1

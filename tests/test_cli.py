@@ -518,6 +518,17 @@ def test_main_out_of_memory_exits_3_without_traceback(tmp_path):
     assert child.stderr == "foldbetti: the computation ran out of memory\n"
 
 
+@pytest.mark.parametrize("command", ["betti", "verify", "height"])
+def test_all_folds_past_the_list_limit_are_refused_in_one_line(tmp_path, capsys, command):
+    # 2^70 folds cannot be listed at all; the refusal names n and the way out
+    doc = {"k": 2, "forms": [{"coeffs": ["1", "0"], "mult": 2**70},
+                             {"coeffs": ["0", "1"], "mult": 1}]}
+    assert main([command, "--input", write_instance(tmp_path, doc), "--all-folds"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "foldbetti: n = %d folds are too many to run them all; pass --fold A\n" % (2**70 + 1)
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # both cost start-up time on every call; compare against what was loaded before
     code = (

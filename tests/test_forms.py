@@ -273,14 +273,14 @@ def test_constructor_canonicalizes_each_form_once(monkeypatch):
 
 
 def test_the_store_empties_every_table_together(example_2_5, monkeypatch):
-    # two monomial bases fill a store of limit 2; the next miss, in another
-    # table, empties both tables before it stores
+    # two full ranks fill a store of limit 2; the next miss, in another
+    # table, reads one of them and empties both tables before it stores
     monkeypatch.setattr(forms, "MEMO_LIMIT", 2)
     clear_memos()
-    oracle.monomial_basis(2, 1)
-    oracle.monomial_basis(2, 2)
-    assert forms.memo_entries() == 2
+    full_rank(normalize([((1, 0), 1), ((0, 1), 1)], 2))
     assert full_rank(example_2_5) == 3
-    assert oracle._basis_cache == {} and forms._full_rank_cache == {example_2_5: 3}
+    assert forms.memo_entries() == 2
+    relations = tuple(oracle._circuit_relations(example_2_5, 2))
+    assert forms._full_rank_cache == {} and oracle._relations_cache == {example_2_5: (2, relations)}
     clear_memos()
     assert forms.memo_entries() == 0

@@ -19,7 +19,7 @@ from foldbetti import (
 from foldbetti import forms, oracle
 from foldbetti.forms import clear_memos
 from foldbetti.matroid import circuits_up_to
-from foldbetti.oracle import OracleLimitError, hf_report, monomial_basis
+from foldbetti.oracle import OracleLimitError, hf_report
 
 from conftest import (
     distinct_products_reference,
@@ -30,7 +30,7 @@ from conftest import (
     raw_collections,
     small_collections,
 )
-from reference import rank2_flats
+from reference import monomial_basis, rank2_flats
 
 
 def distinct_polys(polys):
@@ -343,3 +343,26 @@ def test_hf_report_reads_the_degrees_once(example_2_5):
     assert report.values == {6: 27, 4: 14}
     assert report.to_json_dict() == {"a": 4, "hf": {"4": 14, "6": 27}}
     assert hf_report(example_2_5, 4, []).values == {}
+
+
+def test_a_heavy_form_climbs_without_a_monomial_table():
+    # fold 1500 of (x1^1500, x1 + x2): the keys are arithmetic, so no degree
+    # below the fold leaves a basis or a shift table behind
+    clear_memos()
+    heavy = normalize([((1, 0), 1500), ((1, 1), 1)], 2)
+    assert hf_report(heavy, 1500, range(1500, 1502)).values == {1500: 2, 1501: 3}
+    assert forms.memo_entries() == 0
+
+
+@pytest.mark.parametrize("p", [None, 101])
+def test_six_variables_match_the_references(p):
+    # keys of k = 6 span five base-(top + 1) digits; small_collections stops at k = 4
+    raw = [((1, 0, 0, 0, 0, 0), 2), ((0, 1, 0, 0, 0, 0), 1), ((0, 0, 1, 0, 0, -1), 1),
+           ((0, 0, 0, 1, 2, 0), 1), ((1, 1, 1, 1, 1, 1), 1), ((2, -1, 0, 1, 0, 1), 1)]
+    sigma = normalize(raw, 6, p)
+    for a in range(1, sigma.n + 1):
+        assert fold_generators(sigma, a) == distinct_products_reference(sigma, a)
+    for a, d in [(1, 3), (2, 4), (5, 6), (6, 8), (7, 8)]:
+        values = {}
+        assert hilbert_function(sigma, a, d, values) == hilbert_function_reference(sigma, a, d)
+        assert values == {e: hilbert_function_reference(sigma, a, e) for e in range(a, d + 1)}
