@@ -22,7 +22,10 @@ which the flat enumerator in ``matroid`` shares); the chosen form's own
 copies vanish, and no other form does.
 
 The effective rank is memoized per collection, and :func:`essentialize`
-answers every full-rank collection from that memo.
+answers every full-rank collection from that memo.  :func:`basis_coordinates`
+changes coordinates so that a basis of the forms is the first variables,
+reading each other form's coordinates off :func:`circuit_dependency`, which
+the circuit oracle uses too; the Hilbert oracle climbs there.
 
 This module owns every memo table of the package: the full-rank table
 here, the flats, Hamming weights and Tutte polynomials in ``matroid``, the
@@ -310,3 +313,49 @@ def essentialize(sigma: FormCollection) -> FormCollection:
     pivots = sorted(ech.pivot_rows)
     raw = [(tuple(coeffs[c] for c in pivots), mult) for coeffs, mult in sigma.groups]
     return FormCollection(len(pivots), raw, sigma.p)
+
+
+def circuit_dependency(cols, p=None):
+    """The one linear dependency of columns of nullity 1, such as a circuit's.
+
+    It comes in the canonical scale of forms: over Q primitive with a
+    positive first entry, over GF(p) with first entry 1.  Echelonizes the
+    rows [v_i | e_i]: the v-parts span rank s - 1, so exactly one stored row
+    has its leading column at or past k, and its e-part holds the
+    coefficients c with sum c_i v_i = 0.
+    """
+    k, s = len(cols[0]), len(cols)
+    ech = SparseIntEchelon(p)
+    for i, col in enumerate(cols):
+        ech.add({**dict(enumerate(col)), k + i: 1})
+    deps = [[row.get(j, 0) for j in range(k, k + s)] for c, row in ech.pivot_rows.items() if c >= k]
+    if len(deps) != 1:
+        raise AssertionError("columns %r have nullity %d, not 1" % (cols, len(deps)))
+    return canonical_coeffs(deps[0], p)
+
+
+def basis_coordinates(sigma: FormCollection) -> FormCollection:
+    """The collection after the change of coordinates y = Bx that makes a
+    basis of its forms the first variables.
+
+    The rows of the invertible k x k matrix B are the groups that raise the
+    rank, in canonical order (heaviest multiplicity first), completed by
+    unit vectors when the rank r is below k.  Basis group i becomes x_i.
+    Each other group becomes its coordinates in the basis groups before it,
+    read off the one dependency of (those groups, the form) by
+    :func:`circuit_dependency`; no form has a coordinate on the k - r unit
+    vectors, so every form ends in k - r zeros.  The forms stay pairwise
+    non-proportional with their multiplicities, and a graded automorphism
+    of the polynomial ring maps each fold ideal onto the new collection's
+    degree by degree, so every Hilbert value is kept.
+    """
+    k, p = sigma.k, sigma.p
+    ech, basis, raw = SparseIntEchelon(p), [], []
+    for coeffs, mult in sigma.groups:
+        if ech.add(dict(enumerate(coeffs))):
+            coords = (0,) * len(basis) + (1,)
+            basis.append(coeffs)
+        else:
+            coords = circuit_dependency(basis + [coeffs], p)[:-1]
+        raw.append((coords + (0,) * (k - len(coords)), mult))
+    return FormCollection(k, raw, p)

@@ -453,17 +453,22 @@ def run_child(args, timeout=5, preexec_fn=None):
 
 
 @pytest.mark.parametrize(
-    "degrees, message",
+    "forms, degrees, message",
     [
-        ("1..100000000000", "degree 1 is below the fold 2"),
+        ([["1", "0"], ["0", "1"], ["1", "1"]], "1..100000000000", "degree 1 is below the fold 2"),
         # degree 1291 is the first whose plain matrix, 3 * 1290 rows by 1292
         # columns, passes the default limit of five million cells
-        ("3..100000000000", "Hilbert matrix would have 3870 x 1292 cells; limit is 5000000"),
+        ([["1", "0"], ["0", "1"], ["1", "1"]], "3..100000000000",
+         "Hilbert matrix would have 3870 x 1292 cells; limit is 5000000"),
+        # x1 doubled: 4 distinct products (x1^2, x1x2, x1(x1+x2), x2(x1+x2)),
+        # not C(4, 2) = 6, so degree 1119 is the first over, 4 * 1118 rows by 1120
+        ([["1", "0"], ["1", "0"], ["0", "1"], ["1", "1"]], "3..100000000000",
+         "Hilbert matrix would have 4472 x 1120 cells; limit is 5000000"),
     ],
-    ids=["below-fold", "over-limit"],
+    ids=["below-fold", "over-limit", "over-limit-distinct-products"],
 )
-def test_huge_hilbert_degree_range_is_refused_at_once(tmp_path, degrees, message):
-    doc = {"k": 2, "forms": [{"coeffs": c, "mult": 1} for c in (["1", "0"], ["0", "1"], ["1", "1"])]}
+def test_huge_hilbert_degree_range_is_refused_at_once(tmp_path, forms, degrees, message):
+    doc = {"k": 2, "forms": [{"coeffs": c, "mult": 1} for c in forms]}
     child = run_child(["hilbert", "--input", write_instance(tmp_path, doc), "--fold", "2",
                        "--degrees", degrees])
     assert child.returncode == 1

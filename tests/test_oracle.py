@@ -1,5 +1,6 @@
 """Hilbert-function and circuit-relation oracles, guardrails included."""
 
+import random
 from math import comb
 
 import pytest
@@ -11,13 +12,14 @@ from foldbetti import (
     betti_from_hilbert,
     betti_maximal_power,
     betti_tutte,
+    compute_betti,
     fold_generators,
     hilbert_function,
     normalize,
     relation_space,
 )
 from foldbetti import forms, oracle
-from foldbetti.forms import clear_memos
+from foldbetti.forms import basis_coordinates, canonical_coeffs, clear_memos, full_rank
 from foldbetti.matroid import circuits_up_to
 from foldbetti.oracle import OracleLimitError, hf_report
 
@@ -50,7 +52,9 @@ def test_fold_generators_are_the_distinct_products_in_first_occurrence_order(p, 
     k, raw = collection
     sigma = normalize(raw, k, p)
     for a in range(1, sigma.n + 1):
-        assert fold_generators(sigma, a) == distinct_products_reference(sigma, a)
+        products = distinct_products_reference(sigma, a)
+        assert fold_generators(sigma, a) == products
+        assert oracle._product_count(sigma, a) == len(products)  # what the cell guard counts
 
 
 def test_fold_generators_extremes(example_4_3):
@@ -279,25 +283,33 @@ def test_hilbert_function_matches_plain_matrix(p, collection, inert):
             assert hilbert_function(sigma, a, d) == expected == values[d]
 
 
+def refusal(rows, cols, limit):
+    return "Hilbert matrix would have %d x %d cells; limit is %d" % (rows, cols, limit)
+
+
 def test_guard_names_the_first_degree_over_the_limit(example_2_5, monkeypatch):
-    # a = 4: degree 4 has 35 x 15 plain cells, degree 5 has 105 x 21
+    # a = 4: 25 distinct products, not C(7, 4) = 35, as the doubled form
+    # enters each at most twice; degree 4 has 25 x 15 cells, degree 5 75 x 21
+    products = len(fold_generators(example_2_5, 4))
+    assert products == 25
     monkeypatch.setattr(oracle, "CELL_LIMIT", 1000)
     assert hilbert_function(example_2_5, 4, 4) == 14
     with pytest.raises(OracleLimitError) as exc:
         betti_from_hilbert(example_2_5, 4)
-    assert str(exc.value) == "Hilbert matrix would have 105 x 21 cells; limit is 1000"
+    assert str(exc.value) == refusal(products * 3, 21, 1000)
     with pytest.raises(OracleLimitError) as exc:
         hf_report(example_2_5, 4, range(6, 8))
-    assert str(exc.value) == "Hilbert matrix would have 210 x 28 cells; limit is 1000"
+    assert str(exc.value) == refusal(products * 6, 28, 1000)
 
 
 def test_guard_still_applies_after_a_full_degree(example_2_5, monkeypatch):
-    # a = 1 <= d_1: degree 1 is full, yet degree 2 (21 x 6 plain cells) is refused
+    # a = 1 <= d_1: degree 1 is full, yet degree 2 (6 products x 3 monomials
+    # by 6 columns) is refused
     monkeypatch.setattr(oracle, "CELL_LIMIT", 50)
     assert hilbert_function(example_2_5, 1, 1) == 3
     with pytest.raises(OracleLimitError) as exc:
         betti_from_hilbert(example_2_5, 1)
-    assert str(exc.value) == "Hilbert matrix would have 21 x 6 cells; limit is 50"
+    assert str(exc.value) == refusal(len(fold_generators(example_2_5, 1)) * 3, 6, 50) == refusal(18, 6, 50)
 
 
 def count_echelons(monkeypatch):
@@ -366,3 +378,93 @@ def test_six_variables_match_the_references(p):
         values = {}
         assert hilbert_function(sigma, a, d, values) == hilbert_function_reference(sigma, a, d)
         assert values == {e: hilbert_function_reference(sigma, a, e) for e in range(a, d + 1)}
+
+
+def seeded_collections(seed, p, count, deficient=False):
+    """``count`` random collections over Q or GF(p): k <= 4, n <= 7,
+    multiplicities <= 3, mostly 1.  Each form is an integer combination, with
+    coefficients in +-3, of r vectors: the unit vectors (r = k), or when
+    ``deficient`` r < k random ones, so that the rank stays below k."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        k = rng.randint(2 if deficient else 1, 4)
+        if deficient:
+            span = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, k - 1))]
+        else:
+            span = [[int(i == j) for j in range(k)] for i in range(k)]
+        raw, left = [], rng.randint(2, 7)
+        while left:
+            m = min(left, rng.choice((1, 1, 1, 2, 3)))
+            c = [rng.randint(-3, 3) for _ in span]
+            raw.append((tuple(sum(cj * v[i] for cj, v in zip(c, span)) for i in range(k)), m))
+            left -= m
+        if any(any(x % p if p else x for x in coeffs) for coeffs, _ in raw):
+            out.append(normalize(raw, k, p))
+    return out
+
+
+FIELDS = [None, 3, 101]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_basis_coordinates_send_a_basis_to_unit_vectors(p):
+    # the basis is the groups that raise the rank in canonical order, found
+    # here by gauss_rank; every other group must come back as its coordinates
+    for deficient in (False, True):
+        for sigma in seeded_collections(1, p, 40, deficient):
+            basis = []
+            for coeffs, _ in sigma.groups:
+                if gauss_rank(basis + [coeffs], p) > len(basis):
+                    basis.append(coeffs)
+            k, r = sigma.k, len(basis)
+            moved = basis_coordinates(sigma)
+            assert moved.k == k and moved.p == p
+            assert r == full_rank(sigma) and (r < k or not deficient)
+            new = dict(moved.groups)
+            mult = dict(sigma.groups)
+            for i, b in enumerate(basis):
+                assert new[tuple(int(j == i) for j in range(k))] == mult[b]
+            images = []
+            for coords, m in moved.groups:
+                assert not any(coords[r:])  # no form reaches the completion
+                form = [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(k)]
+                images.append((canonical_coeffs(form, p), m))
+            assert sorted(images) == sorted(sigma.groups)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_basis_coordinates_keep_every_betti_table(p):
+    # betti_from_hilbert essentializes first, so it climbs full-rank collections only
+    for sigma in seeded_collections(2, p, 20):
+        folds = range(1, sigma.n + 1)
+        moved = [betti_from_hilbert(sigma, a) for a in folds]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "basis_coordinates", lambda sigma: sigma)
+            assert moved == [betti_from_hilbert(sigma, a) for a in folds], sigma
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_basis_coordinates_keep_the_hilbert_function_below_full_rank(p):
+    # hf_report climbs in all k variables, so the unit vectors that complete
+    # a basis of rank r < k must keep the k - r inert variables
+    for sigma in seeded_collections(3, p, 20, deficient=True):
+        assert full_rank(sigma) < sigma.k
+        for a in range(1, sigma.n + 1):
+            degrees = range(a, a + sigma.k + 1)
+            moved = hf_report(sigma, a, degrees)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "basis_coordinates", lambda sigma: sigma)
+                assert moved == hf_report(sigma, a, degrees), (sigma, a)
+            assert moved.values[a + 1] == hilbert_function_reference(sigma, a, a + 1), (sigma, a)
+
+
+def test_random_k4_n9_collection_agrees_with_the_recursion_on_every_fold():
+    # random.Random(9), coefficients in +-9, k = 4, n = 9, the first form
+    # doubled: over Q its climb in its own coordinates took seconds, with
+    # pivot rows of hundreds of bits
+    raw = [((5, 2, -1, -5), 2), ((-4, -9, 1, 7), 1), ((5, -7, 1, 8), 1),
+           ((-8, 3, -4, 5), 1), ((4, -4, -4, -2), 1), ((-8, -6, -5, 7), 1),
+           ((9, -7, 3, -6), 1), ((0, -3, -2, 4), 1)]
+    sigma = normalize(raw, 4)
+    for a in range(1, 10):
+        assert betti_from_hilbert(sigma, a) == compute_betti(sigma, a, "recursion"), a
