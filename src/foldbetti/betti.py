@@ -71,11 +71,7 @@ class BettiTable(FrozenRecord):
     @property
     def pdim(self) -> int:
         """Index of the last nonzero entry (0 for the zero ideal)."""
-        last = 0
-        for i, v in enumerate(self.b, start=1):
-            if v != 0:
-                last = i
-        return last
+        return max((i for i, v in enumerate(self.b, start=1) if v), default=0)
 
     def to_json_dict(self):
         return {"a": self.a, "k": self.k, "b": list(self.b)}
@@ -87,10 +83,6 @@ def _entry(table, i):
 
 def _zero_table(a, k):
     return BettiTable(a, k, (0,) * k)
-
-
-def _unit_table(a, k):
-    return BettiTable(a, k, (1,) + (0,) * (k - 1))
 
 
 def betti_tutte(sigma: FormCollection, a: int) -> BettiTable:
@@ -246,7 +238,7 @@ def _recursion_dispatch(ess, a):
         inner = betti_recursion(reduced, e)
         return BettiTable(a, inner.k, inner.b)
     if a == n:
-        return _unit_table(a, k)
+        return BettiTable(a, k, (1,) + (0,) * (k - 1))
     if a == n - 1:
         return betti_nminus1(ess)
     if a >= n - k + 1 and is_generic(ess, min(n - a + 1, k)):

@@ -23,7 +23,7 @@ so every trace is deterministic (timings: CPython 3.11.7, 2 vCPU):
   circuit-relation space, and it runs the Hilbert climb, which shifts one
   degree's ``pivot_rows`` into the next, about 10% faster than a dense
   echelon did.  Circuit dependencies and ``forms.essentialize`` read its
-  pivot rows too.
+  pivot rows too, and the Tutte polynomial finds its coloops by its ``add``.
 
 Everything here is a pure function of its inputs or owned by the caller, so
 values can be shared freely between concurrent callers.

@@ -16,10 +16,12 @@ canonical scale of every form on construction, so inputs that spell the
 same multiset of forms up to scale always build the identical object,
 which is what the memoized recursions key on.
 
-Deletion removes one copy of a form.  Contraction reduces every other form
-modulo a chosen form and drops one ambient variable (:func:`images_modulo`,
-which the flat enumerator in ``matroid`` shares); the chosen form's own
-copies vanish, and no other form does.
+Deletion removes one copy of a form, for the recursion in ``betti``; the
+Tutte polynomial in ``matroid`` takes its deletions in a loop and builds
+none.  Contraction reduces every other form modulo a chosen form and drops
+one ambient variable (:func:`images_modulo`, which the flat enumerator and
+the Tutte polynomial in ``matroid`` share); the chosen form's own copies
+vanish, and no other form does.
 
 The effective rank is memoized per collection, and :func:`essentialize`
 answers every full-rank collection from that memo.  :func:`basis_coordinates`
@@ -48,8 +50,9 @@ from threading import Lock
 
 from .exactlin import SparseIntEchelon, bareiss_rank
 
-# Every fold of a random all-single k = 8, n = 22 collection under auto
-# fills 395,365 entries; 2^19 lets it finish without a clear.
+# Every fold of a random all-single k = 9, n = 24 collection under auto
+# fills 170,560 entries in 16-20 s (k = 8, n = 22: 38,775); 2^19 leaves
+# room for three times that before a clear.
 MEMO_LIMIT = 1 << 19
 
 _memo_tables = []
@@ -235,23 +238,9 @@ def normalize(raw_forms, k: int, p=None) -> FormCollection:
 
 def delete(sigma: FormCollection, group_index: int):
     """Remove one copy of the chosen group; None once nothing is left."""
-    raw = []
-    for i, (coeffs, mult) in enumerate(sigma.groups):
-        if i == group_index:
-            mult -= 1
-        if mult > 0:
-            raw.append((coeffs, mult))
-    if not raw:
-        return None
-    return FormCollection(sigma.k, raw, sigma.p)
-
-
-def drop_group(sigma: FormCollection, group_index: int):
-    """Remove a whole group (every copy); None once nothing is left."""
-    groups = [g for i, g in enumerate(sigma.groups) if i != group_index]
-    if not groups:
-        return None
-    return FormCollection(sigma.k, groups, sigma.p)
+    raw = [(coeffs, mult - (i == group_index)) for i, (coeffs, mult) in enumerate(sigma.groups)]
+    raw = [(coeffs, mult) for coeffs, mult in raw if mult]
+    return FormCollection(sigma.k, raw, sigma.p) if raw else None
 
 
 def images_modulo(ell, forms):

@@ -3,7 +3,8 @@
 Column indices are 0-based and multiplicity-expanded (copy i of a group is
 its own ground-set element).  Provides subset ranks, circuits, generalized
 Hamming weights, fold-ideal heights, and the Tutte polynomial computed by
-memoized deletion-contraction.
+deletion-contraction, with the deletions taken in a loop and only the
+contractions recursing and memoized.
 
 Hamming weights read one enumerator of the flats of the simple matroid
 (one element per group), built rank by rank from the empty flat.  Its rule
@@ -24,13 +25,11 @@ from bisect import bisect_left
 from itertools import combinations
 from math import comb
 
-from .exactlin import bareiss_rank
+from .exactlin import SparseIntEchelon, bareiss_rank
 from .forms import (
     FormCollection,
     FrozenRecord,
     canonical_coeffs,
-    contract,
-    drop_group,
     essentialize,
     full_rank,
     images_modulo,
@@ -207,31 +206,34 @@ class TuttePoly:
 def tutte_polynomial(sigma: FormCollection) -> TuttePoly:
     """Tutte polynomial by deletion-contraction, memoized per collection.
 
-    Parallel copies of a form are eliminated as one block: deleting and
-    contracting copy by copy telescopes into T(M - block) plus T(M / block)
-    times 1 + y + ... + y^(m-1), or times x + y + ... + y^(m-1) when the
-    block is a coloop.  The factor's coefficients are all 1 and T's are
-    nonnegative, so the terms are added straight into one dict: no sum
-    cancels.  Loops never occur in stored collections (zero forms are
-    stripped), but contraction accounts for the copies that collapse.
+    With M_i the groups i, i+1, ... in canonical order, M_i minus group i is
+    M_(i+1), and T(M_t) = 1.  The deletions are a loop from the last group
+    back, with one echelon of the later groups to find the coloops; only the
+    contractions M_i / g_i (the later groups modulo g_i) recurse, so the
+    recursion is at most rank deep.  A group's m copies go as one block:
+    T(M_i) is T(M_(i+1)) times x + y + ... + y^(m-1) for a coloop, else
+    T(M_(i+1)) plus T(M_i / g_i) times 1 + y + ... + y^(m-1).  All factor
+    coefficients are 1 and T's are nonnegative, so no sum in the dict cancels.
     """
     cached = _tutte_cache.get(sigma)
     if cached is not None:
         return cached
-    m = sigma.groups[0][1]
-    deleted = drop_group(sigma, 0)
-    contracted = contract(sigma, 0)
-    t_con = tutte_polynomial(contracted).coeffs if contracted is not None else {(0, 0): 1}
-    coloop = deleted is None or full_rank(deleted) < full_rank(sigma)
-    result = {} if coloop else dict(tutte_polynomial(deleted).coeffs)
-    for di, dj in [(1, 0) if coloop else (0, 0)] + [(0, j) for j in range(1, m)]:
-        for (i, j), c in t_con.items():
-            ij = (i + di, j + dj)
-            result[ij] = result.get(ij, 0) + c
-    poly = TuttePoly(result)
-    if poly.evaluate(1, 1) <= 0:
-        raise AssertionError("Tutte polynomial lost its bases count")
-    return memo_put(_tutte_cache, sigma, poly)
+    k, p, groups = sigma.k, sigma.p, sigma.groups
+    result, after = {(0, 0): 1}, SparseIntEchelon(p)
+    for i in reversed(range(len(groups))):
+        ell, m = groups[i]
+        # a coloop of M_i; none is left once the later groups span all k variables
+        if after.rank < k and after.add(dict(enumerate(ell))):
+            base, result, shifts = result, {}, [(1, 0)] + [(0, j) for j in range(1, m)]
+        else:
+            forms, mults = zip(*groups[i + 1 :])
+            contracted = FormCollection(k - 1, zip(images_modulo(ell, forms), mults), p)
+            base, shifts = tutte_polynomial(contracted).coeffs, [(0, j) for j in range(m)]
+        for di, dj in shifts:
+            for (x, y), c in base.items():
+                xy = (x + di, y + dj)
+                result[xy] = result.get(xy, 0) + c
+    return memo_put(_tutte_cache, sigma, TuttePoly(result))
 
 
 def tutte_shifted_coeffs(tp: TuttePoly):

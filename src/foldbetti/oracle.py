@@ -35,6 +35,7 @@ instances whose matrices would not fit a quick exact computation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate, combinations
 from math import comb
 
@@ -147,17 +148,27 @@ def _product_count(sigma: FormCollection, a: int) -> int:
     return sum(c * comb(singles, a - j) for j, c in enumerate(poly))
 
 
-def _check_cells(sigma: FormCollection, a: int, d: int):
-    """Refuse degree d below the fold a, or when the plain matrix of every
-    distinct fold product times every monomial of degree d - a would exceed
-    the cell limit (a conservative size for the incremental chain)."""
-    if d < a:
-        raise ValueError("degree %d below generation degree %d" % (d, a))
+def _refusal(sigma: FormCollection, a: int, d: int):
+    """Why the climb of fold a to degree d >= a is refused, or None: the plain
+    matrix of every distinct fold product times every monomial of degree d - a
+    would pass the cell limit (a conservative size for the incremental chain),
+    or the climb would hold more values than that, as only one variable can."""
     k = sigma.k
     rows = _product_count(sigma, a) * comb(k - 1 + d - a, k - 1)
     cols = comb(k - 1 + d, k - 1)
     if rows * cols > CELL_LIMIT:
-        raise OracleLimitError("Hilbert matrix would have %d x %d cells; limit is %d" % (rows, cols, CELL_LIMIT))
+        return "Hilbert matrix would have %d x %d cells; limit is %d" % (rows, cols, CELL_LIMIT)
+    if d - a >= CELL_LIMIT:
+        return "Hilbert climb from degree %d to %d would hold %d values; limit is %d" % (a, d, d - a + 1, CELL_LIMIT)
+    return None
+
+
+def _check_cells(sigma: FormCollection, a: int, d: int):
+    """Refuse degree d below the fold a, or for the :func:`_refusal` reason."""
+    if d < a:
+        raise ValueError("degree %d below generation degree %d" % (d, a))
+    if (reason := _refusal(sigma, a, d)) is not None:
+        raise OracleLimitError(reason)
 
 
 def hilbert_function(sigma: FormCollection, a: int, d: int, values=None) -> int:
@@ -233,9 +244,15 @@ def hf_report(sigma: FormCollection, a: int, degrees) -> HFReport:
     """HF at each degree, in any order, from one climb to the largest.
 
     ``degrees`` is read once, so a generator serves as well as a range; each
-    degree passes the cell limit as it is read, in the order given, so a
-    huge range is refused before it is held in memory.
+    degree passes the limits as it is read, in the order given, so a huge
+    range is refused before it is held in memory.  The limits grow with d,
+    so an ascending range is bisected first for the degree reading refuses.
     """
+    if isinstance(degrees, range) and degrees.step > 0 and degrees:
+        _check_cells(sigma, a, degrees[0])
+        first = bisect_left(degrees, True, key=lambda d: _refusal(sigma, a, d) is not None)
+        if first < len(degrees):
+            _check_cells(sigma, a, degrees[first])
     read, values = [], {}
     for d in degrees:
         _check_cells(sigma, a, d)

@@ -30,7 +30,7 @@ from math import comb, gcd
 
 from foldbetti.betti import BettiTable, _entry, _zero_table, betti_rank2
 from foldbetti.exactlin import SparseIntEchelon, bareiss_rank
-from foldbetti.forms import FormCollection, contract, drop_group, essentialize
+from foldbetti.forms import FormCollection, contract, essentialize
 from foldbetti.matroid import TuttePoly, _flats, _multiplicity_layers, _sizes, full_rank, tutte_polynomial
 
 
@@ -146,7 +146,7 @@ def betti_k3_block(sigma: FormCollection, a: int) -> BettiTable:
     if m1 >= a:
         acc[0] += 1
     else:
-        rest = drop_group(ess, 0)
+        rest = FormCollection(ess.k, ess.groups[1:], ess.p)
         tail = betti_k3_block(rest, a - m1)
         for i in range(1, 4):
             acc[i - 1] += _entry(tail, i)

@@ -424,8 +424,12 @@ def test_main_recursion_error_is_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_main_deep_pencil_exits_3_without_traceback(tmp_path, capsys):
-    # a 300-line pencil in k=2 makes the Tutte recursion 300 calls deep
-    doc = {"k": 2, "forms": [{"coeffs": ["1", str(i)], "mult": 1} for i in range(300)]}
+    # x_1, ..., x_r and x_1 + ... + x_r in r = 170 variables: each contraction
+    # is the same shape in one fewer variable, so the Tutte recursion nests
+    # 170 calls deep, past the lowered limit
+    r = 170
+    forms = [["1" if j == i else "0" for j in range(r)] for i in range(r)] + [["1"] * r]
+    doc = {"k": r, "forms": [{"coeffs": coeffs, "mult": 1} for coeffs in forms]}
     path = write_instance(tmp_path, doc)
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -441,6 +445,16 @@ def test_main_deep_pencil_exits_3_without_traceback(tmp_path, capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.startswith("foldbetti: ") and captured.err.count("\n") == 1
+
+
+def test_main_tutte_of_a_1200_line_pencil_exits_0(tmp_path, capsys):
+    # the deletions of a pencil are a loop and its contractions are rank 1,
+    # so the recursion nests two calls deep under the default limit
+    doc = {"k": 2, "forms": [{"coeffs": ["1", str(i)], "mult": 1} for i in range(1200)]}
+    assert main(["tutte", "--input", write_instance(tmp_path, doc), "--json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["tutte"]["terms"]
+    assert len(terms) == 1200
+    assert sum(int(term["c"]) for term in terms) == 1200 * 1199 // 2  # T(1, 1): two lines make a basis
 
 
 def run_child(args, timeout=5, preexec_fn=None):
@@ -474,6 +488,21 @@ def test_huge_hilbert_degree_range_is_refused_at_once(tmp_path, forms, degrees, 
     assert child.returncode == 1
     assert child.stdout == ""
     assert child.stderr == "foldbetti: %s\n" % message
+
+
+@pytest.mark.parametrize("degrees, top", [("1..100000000", 5000001), ("100000000", 100000000)])
+def test_one_variable_degree_range_is_refused_at_once(tmp_path, degrees, top):
+    # every degree of k = 1 has one column, so only the count of the climb's
+    # values can refuse; reading 10^8 degrees, or filling one value for each,
+    # once ran without end
+    doc = {"k": 1, "forms": [{"coeffs": ["1"], "mult": 2}]}
+    child = run_child(["hilbert", "--input", write_instance(tmp_path, doc), "--fold", "1",
+                       "--degrees", degrees])
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr == (
+        "foldbetti: Hilbert climb from degree 1 to %d would hold %d values; limit is 5000000\n" % (top, top)
+    )
 
 
 def test_coefficient_exponent_past_the_digit_limit_is_refused_at_once(tmp_path):

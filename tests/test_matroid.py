@@ -16,8 +16,8 @@ from foldbetti import (
     tutte_polynomial,
     tutte_shifted_coeffs,
 )
-from foldbetti.forms import canonical_coeffs
-from foldbetti.matroid import _flats
+from foldbetti.forms import FormCollection, canonical_coeffs
+from foldbetti.matroid import _flats, _tutte_cache
 
 from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections, small_collections
 from reference import hamming_weights_crapo, rank2_flats, tutte_polynomial_subset_sum
@@ -347,6 +347,33 @@ def test_tutte_matches_subset_sum(rng, example_2_5):
     for _ in range(20):
         sigma = make_random_collection(rng)
         assert tutte_polynomial(sigma) == tutte_polynomial_subset_sum(sigma)
+    # over GF(p) too, and at rank r below k, where the echelon of the later
+    # groups that finds the coloops runs on a rank-deficient suffix
+    for p in (None, 3, 101):
+        for r in (1, 2, 3):
+            for _ in range(6):
+                k = rng.randint(r, 4)
+                basis = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+                raw = []
+                for _ in range(rng.randint(2, 6)):
+                    c = [rng.randint(-2, 2) for _ in range(r)]
+                    raw.append(([sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(k)], rng.randint(1, 2)))
+                try:
+                    sigma = FormCollection(k, raw, p)
+                except ValueError:  # every form vanished
+                    continue
+                assert tutte_polynomial(sigma) == tutte_polynomial_subset_sum(sigma), sigma
+
+
+def test_tutte_memoizes_no_deletion(rng, example_2_5):
+    # only contractions recurse, and each drops a variable: every other
+    # collection in the memo has a smaller ambient k than the one asked about
+    sigmas = [example_2_5] + [make_random_collection(rng, max_k=4, max_n=10) for _ in range(10)]
+    for sigma in sigmas:
+        clear_memos()
+        tutte_polynomial(sigma)
+        assert sigma in _tutte_cache
+        assert all(key.k < sigma.k for key in _tutte_cache if key != sigma), sigma
 
 
 def test_tutte_counts_bases(rng):

@@ -357,6 +357,21 @@ def test_hf_report_reads_the_degrees_once(example_2_5):
     assert hf_report(example_2_5, 4, []).values == {}
 
 
+def test_one_variable_counts_the_climb_against_the_cell_limit(monkeypatch):
+    # every degree of k = 1 has one column, so no degree passes the cell
+    # limit: the climb's values are counted against it, and an ascending
+    # range is refused at the same degree as a generator read degree by degree
+    sigma = normalize([((1,), 2)], 1)
+    monkeypatch.setattr(oracle, "CELL_LIMIT", 10)
+    assert hf_report(sigma, 1, range(1, 11)).values == dict.fromkeys(range(1, 11), 1)
+    for degrees in (range(1, 10**8), (d for d in range(1, 10**8)), [11]):
+        with pytest.raises(OracleLimitError) as exc:
+            hf_report(sigma, 1, degrees)
+        assert str(exc.value) == "Hilbert climb from degree 1 to 11 would hold 11 values; limit is 10"
+    with pytest.raises(OracleLimitError):
+        hilbert_function(sigma, 2, 10**8)
+
+
 def test_a_heavy_form_climbs_without_a_monomial_table():
     # fold 1500 of (x1^1500, x1 + x2): the keys are arithmetic, so no degree
     # below the fold leaves a basis or a shift table behind
