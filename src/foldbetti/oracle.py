@@ -3,7 +3,7 @@
 Two oracles: exact Hilbert functions of the fold ideal by monomial linear
 algebra (which determine the whole Betti table degree by degree), and the
 first Betti number via the rank of the circuit-relation space.  Both reduce
-to integer matrix ranks, so they share the elimination engines but none of
+to integer matrix ranks, so they share the elimination engine but none of
 the combinatorial shortcuts they are meant to verify.
 
 The Hilbert function climbs the chain I_{d+1} = S_1 * I_d, as in the
@@ -246,17 +246,21 @@ def hf_report(sigma: FormCollection, a: int, degrees) -> HFReport:
     ``degrees`` is read once, so a generator serves as well as a range; each
     degree passes the limits as it is read, in the order given, so a huge
     range is refused before it is held in memory.  The limits grow with d,
-    so an ascending range is bisected first for the degree reading refuses.
+    so an ascending range is bisected instead for the degree reading refuses;
+    when there is none, every degree of the range passes.
     """
     if isinstance(degrees, range) and degrees.step > 0 and degrees:
         _check_cells(sigma, a, degrees[0])
         first = bisect_left(degrees, True, key=lambda d: _refusal(sigma, a, d) is not None)
         if first < len(degrees):
             _check_cells(sigma, a, degrees[first])
-    read, values = [], {}
-    for d in degrees:
-        _check_cells(sigma, a, d)
-        read.append(d)
+        read = degrees
+    else:
+        read = []
+        for d in degrees:
+            _check_cells(sigma, a, d)
+            read.append(d)
+    values = {}
     if read:
         hilbert_function(sigma, a, max(read), values)
     return HFReport(a, {d: values[d] for d in read})

@@ -29,7 +29,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from foldbetti.betti import BettiTable, _entry, _zero_table, betti_rank2
-from foldbetti.exactlin import SparseIntEchelon, bareiss_rank
+from foldbetti.exactlin import SparseIntEchelon
 from foldbetti.forms import FormCollection, contract, essentialize
 from foldbetti.matroid import TuttePoly, _flats, _multiplicity_layers, _sizes, full_rank, tutte_polynomial
 
@@ -174,16 +174,23 @@ def rank2_flats(sigma: FormCollection):
 
 
 def tutte_polynomial_subset_sum(sigma: FormCollection) -> TuttePoly:
-    """The subset-sum definition, as an independent cross-check (n <= 16)."""
+    """The subset-sum definition, as an independent cross-check (n <= 16).
+
+    Every subset, the whole set too, is ranked by ``conftest.gauss_rank``,
+    not by the package's echelon, which ``tutte_polynomial`` uses to find
+    its coloops.
+    """
+    from conftest import gauss_rank  # conftest imports this module
+
     n = sigma.n
     if n > 16:
         raise ValueError("subset-sum Tutte is limited to n <= 16")
     cols = sigma.expanded_columns()
-    full = full_rank(sigma)
+    full = gauss_rank(cols, sigma.p)
     counts = {}
     for size in range(n + 1):
         for subset in combinations(range(n), size):
-            r = bareiss_rank([cols[i] for i in subset], sigma.p)
+            r = gauss_rank([cols[i] for i in subset], sigma.p)
             key = (full - r, size - r)
             counts[key] = counts.get(key, 0) + 1
     out = {}

@@ -1,4 +1,4 @@
-"""Rank and dependency goldens for the integer engines, cross-checked against
+"""Rank and dependency goldens for the integer engine, cross-checked against
 the naive reference eliminator in ``conftest`` over Q and GF(p)."""
 
 import random
@@ -40,6 +40,21 @@ def nullity(cols, p=None):
 def random_matrix(rng, bound):
     rows, cols = rng.randint(1, 6), rng.randint(1, 6)
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def shaped_matrices(rng):
+    """Tall, wide, zero-row and zero-width matrices up to 40 columns, dense,
+    sparse and of low rank, with negative entries."""
+    yield []
+    yield [[] for _ in range(3)]
+    entries = [0] * 6 + [-3, -1, 1, 2]
+    for rows, cols in ((40, 3), (3, 40), (1, 40), (40, 1), (25, 40), (40, 25)):
+        yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        yield [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        inner = rng.randint(1, 4)
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+        yield [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
 
 
 def test_rank_example_matrix():
@@ -177,8 +192,7 @@ def test_sparse_echelon_matches_dense():
 @pytest.mark.parametrize("p", [None, 101, 3])
 def test_engines_agree_with_reference(p):
     rng = random.Random(12)
-    for _ in range(40):
-        rows = random_matrix(rng, 6)
+    for rows in [random_matrix(rng, 6) for _ in range(40)] + list(shaped_matrices(rng)):
         expected = gauss_rank(rows, p)
         assert bareiss_rank(rows, p) == expected
         sparse = SparseIntEchelon(p)

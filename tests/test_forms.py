@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,17 @@ def test_essentialize_keeps_the_pivot_columns(p):
 
 def test_essentialize_full_rank_is_identity(example_2_5):
     assert essentialize(example_2_5) is example_2_5
+
+
+def test_essentialize_500_coordinate_forms_is_quick():
+    # 500 coordinate forms in 600 variables: the two ranks of the 500 x 600
+    # coefficient matrix took about 3.5 s by dense elimination, 0.1 s sparse
+    sigma = normalize([(tuple(int(j == i) for j in range(600)), 1) for i in range(500)], 600)
+    clear_memos()
+    start = time.perf_counter()
+    assert full_rank(sigma) == 500
+    assert essentialize(sigma).k == 500
+    assert time.perf_counter() - start < 2.0
 
 
 def test_essentialize_rank2():

@@ -357,6 +357,22 @@ def test_hf_report_reads_the_degrees_once(example_2_5):
     assert hf_report(example_2_5, 4, []).values == {}
 
 
+def test_hf_report_sizes_an_ascending_range_by_bisection(monkeypatch):
+    # the limits grow with d, so the bisection's checks cover every degree
+    # of the range; checking each degree again would count products 10^4 times
+    sigma = normalize([((1,), 2)], 1)
+    counted = []
+    product_count = oracle._product_count
+
+    def count(*args):
+        counted.append(args)
+        return product_count(*args)
+
+    monkeypatch.setattr(oracle, "_product_count", count)
+    assert hf_report(sigma, 1, range(1, 10**4)).values == dict.fromkeys(range(1, 10**4), 1)
+    assert len(counted) <= 40
+
+
 def test_one_variable_counts_the_climb_against_the_cell_limit(monkeypatch):
     # every degree of k = 1 has one column, so no degree passes the cell
     # limit: the climb's values are counted against it, and an ascending
