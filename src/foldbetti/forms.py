@@ -26,12 +26,12 @@ vanish, and no other form does.
 The effective rank is memoized per collection, and :func:`essentialize`
 answers every full-rank collection from that memo.  :func:`basis_coordinates`
 changes coordinates so that a basis of the forms is the first variables,
-reading each other form's coordinates off :func:`circuit_dependency`, which
-the circuit oracle uses too; the Hilbert oracle climbs there.
+reading each other form's coordinates off :func:`circuit_dependency`; the
+Hilbert oracle climbs there.
 
 This module owns every memo table of the package: the full-rank table
-here, the flats, Hamming weights and Tutte polynomials in ``matroid``, the
-recursion tables in ``betti`` and the circuit relations in ``oracle``.
+here, the flats, Hamming weights and Tutte polynomials in ``matroid`` and
+the recursion tables in ``betti``.
 Each is a plain dict made by :func:`memo_table`; a hit is a ``dict.get``,
 and only a miss goes through :func:`memo_put`.  Together the
 tables hold at most ``MEMO_LIMIT`` entries: the miss that finds them full
@@ -139,14 +139,16 @@ class Record:
     """A value record: its fields are its ``__slots__``, in constructor order.
 
     Records are equal when they have the same type and equal fields.  A plain
-    record is mutable and unhashable.
+    record is mutable and unhashable.  A slot named with a leading underscore
+    is not a field.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        if cls.__slots__:
-            cls._values = attrgetter(*cls.__slots__)
+        fields = [name for name in cls.__slots__ if not name.startswith("_")]
+        if fields:
+            cls._values = attrgetter(*fields)
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
@@ -166,12 +168,21 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A record that refuses assignment and hashes by its fields, so it can key a memo."""
+    """A record that refuses assignment and hashes by its fields, so it can key a memo.
 
-    __slots__ = ()
+    The hash is computed on first use and kept in the slot ``_hash``, so a
+    memo lookup does not rehash every group of a collection.
+    """
+
+    __slots__ = ("_hash",)
 
     def __hash__(self):
-        return hash(self._values(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values(self))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)

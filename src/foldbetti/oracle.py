@@ -24,10 +24,9 @@ ideal onto the new collection's fold ideal degree by degree, and rescaling
 a form does not change the ideal.  ``fold_generators`` keeps the forms' own
 coordinates.
 
-The circuit oracle enumerates a collection's circuits and dependencies once,
-in a memo table that every fold filters by size.  The relation vectors of
-one support U (circuit and divisor) are an injective image of their
-dependencies, so only those with a new dependency in U are ranked.
+The circuit oracle reads, off one echelon per support U of n - a + 1
+columns, a fundamental circuit for each element outside U's greedy basis;
+they span U's kernel, as all its circuits do, so none is enumerated.
 
 These are verifiers, not production paths: desk-scale guardrails refuse
 instances whose matrices would not fit a quick exact computation.
@@ -47,10 +46,7 @@ from .forms import (  # circuit_dependency is re-exported
     basis_coordinates,
     circuit_dependency,
     essentialize,
-    memo_put,
-    memo_table,
 )
-from .matroid import circuits_up_to
 
 CELL_LIMIT = 5_000_000
 RELATION_AMBIENT_LIMIT = 200_000
@@ -58,9 +54,6 @@ RELATION_AMBIENT_LIMIT = 200_000
 
 class OracleLimitError(Exception):
     """The instance exceeds the oracle's desk-scale guardrails."""
-
-
-_relations_cache = memo_table()
 
 
 def _steps(k: int, top: int):
@@ -276,30 +269,18 @@ class RelationSpace(Record):
     __slots__ = ("a", "ambient_dim", "generators", "rank")
 
 
-def _circuit_relations(sigma: FormCollection, max_len: int):
-    """Every circuit of at most ``max_len`` elements with its dependency,
-    memoized per collection with the largest ``max_len`` enumerated; a
-    larger one enumerates again, reusing the known dependencies."""
-    cached = _relations_cache.get(sigma)
-    if cached is None or cached[0] < max_len:
-        known = dict(cached[1]) if cached else {}
-        cols = sigma.expanded_columns()
-        pairs = tuple(
-            (c, known.get(c) or circuit_dependency([cols[j] for j in c], sigma.p))
-            for c in circuits_up_to(sigma, max_len)
-        )
-        cached = memo_put(_relations_cache, sigma, (max_len, pairs))
-    return [(c, dep) for c, dep in cached[1] if len(c) <= max_len]
-
-
 def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
-    """Enumerate circuit-derived relation vectors and compute their rank.
+    """Fundamental-circuit relation vectors and the rank of their span.
 
-    Each circuit of length s carries one dependency, in the canonical scale
-    of forms (see :func:`circuit_dependency`); every choice of n-s+1-a
-    leftover columns to divide out produces one sparse vector.
+    Each support U echelonizes the rows [v_u | e_u], unit columns reversed.
+    A stored row leading past the v-columns is a kernel vector that leads at
+    its own element u, left of every earlier kernel row's lead, so it is the
+    dependency of u on U's greedy basis before u: a circuit.  Its coefficient
+    at w lands on the product of U minus w.  Consecutive supports keep the
+    echelon of their shared prefix: ``add`` stores at most one row, last, so
+    ``popitem`` takes back each later element.
     """
-    n, p = sigma.n, sigma.p
+    n, k, p = sigma.n, sigma.k, sigma.p
     if not 1 <= a <= n - 1:
         raise ValueError("fold %d out of range 1..%d" % (a, n - 1))
     ambient = comb(n, n - a)
@@ -309,20 +290,26 @@ def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
             % (ambient, RELATION_AMBIENT_LIMIT)
         )
     position = {c: i for i, c in enumerate(combinations(range(n), n - a))}
-    generators, local, independent = [], {}, []
-    for circuit, dep in _circuit_relations(sigma, n - a + 1):
-        others = [u for u in range(n) if u not in circuit]
-        cset, relation = frozenset(circuit), dict(zip(circuit, dep))
-        for divisor in combinations(others, n - len(circuit) + 1 - a):
-            support = cset.union(divisor)
-            vec = {position[tuple(sorted(support - {j}))]: c for j, c in relation.items()}
-            generators.append(vec)
-            if support not in local:  # one echelon of dependencies per support
-                local[support] = SparseIntEchelon(p)
-            if local[support].add(relation):
-                independent.append(vec)
+    cols = [{i: c for i, c in enumerate(col) if c} for col in sigma.expanded_columns()]
+    top = k + n - a  # the unit column of a support's first element
+    local, grew, prev, generators = SparseIntEchelon(p), [], (None,), []
+    pivots = local.pivot_rows
+    for support in combinations(range(n), n - a + 1):
+        d = 0  # the length of the prefix shared with the previous support
+        while prev[d] == support[d]:
+            d += 1
+        while len(grew) > d:
+            if grew.pop():
+                pivots.popitem()
+        for i in range(d, len(support)):
+            grew.append(local.add({**cols[support[i]], top - i: 1}))
+        prev = support
+        for lead, row in pivots.items():
+            if lead >= k:  # u = support[top - lead] depends on the basis before it
+                generators.append({position[support[:top - j] + support[top - j + 1:]]: c
+                                   for j, c in row.items()})
     ech = SparseIntEchelon(p)
-    for vec in sorted(independent, key=max, reverse=True):  # rank is order-free
+    for vec in sorted(generators, key=max, reverse=True):  # rank is order-free
         ech.add(vec)
     return RelationSpace(a, ambient, generators, ech.rank)
 

@@ -22,7 +22,10 @@ so they stay here as independent references:
   the row by the whole pivot, beside ``SparseIntEchelon``'s gcd-reduced one;
 - :func:`monomial_basis`, the exponent tuples of one degree in descending
   lexicographic order, which index the plain Hilbert matrix of
-  ``conftest.hilbert_function_reference`` beside the oracle's integer keys.
+  ``conftest.hilbert_function_reference`` beside the oracle's integer keys;
+- :func:`relation_space_by_circuits`, the circuit relation space from every
+  circuit with every choice of divided-out columns, beside the oracle's
+  fundamental circuits of each support.
 """
 
 from itertools import combinations
@@ -30,8 +33,17 @@ from math import comb, gcd
 
 from foldbetti.betti import BettiTable, _entry, _zero_table, betti_rank2
 from foldbetti.exactlin import SparseIntEchelon
-from foldbetti.forms import FormCollection, contract, essentialize
-from foldbetti.matroid import TuttePoly, _flats, _multiplicity_layers, _sizes, full_rank, tutte_polynomial
+from foldbetti.forms import FormCollection, circuit_dependency, contract, essentialize
+from foldbetti.matroid import (
+    TuttePoly,
+    _flats,
+    _multiplicity_layers,
+    _sizes,
+    circuits_up_to,
+    full_rank,
+    tutte_polynomial,
+)
+from foldbetti.oracle import RelationSpace
 
 
 def _comb0(n, r):
@@ -278,3 +290,38 @@ def monomial_basis(k: int, d: int):
         if i < 0:
             return tuple(out)
         exp[i], exp[-1], exp[i + 1] = exp[i] - 1, 0, exp[-1] + 1
+
+
+def relation_space_by_circuits(sigma: FormCollection, a: int) -> RelationSpace:
+    """The relation space of fold a from every circuit of at most n-a+1
+    columns, each with every choice of n-s+1-a leftover columns to divide out.
+
+    Each circuit of length s carries one dependency, in the canonical scale
+    of forms; dividing out a choice of leftover columns gives one sparse
+    vector on the (n-a)-subsets.  The vectors of one support (circuit and
+    divisor) are an injective image of their dependencies, so only those
+    with a new dependency in their support are ranked.
+    """
+    n, p = sigma.n, sigma.p
+    if not 1 <= a <= n - 1:
+        raise ValueError("fold %d out of range 1..%d" % (a, n - 1))
+    ambient = comb(n, n - a)
+    position = {c: i for i, c in enumerate(combinations(range(n), n - a))}
+    cols = sigma.expanded_columns()
+    generators, local, independent = [], {}, []
+    for circuit in circuits_up_to(sigma, n - a + 1):
+        dep = circuit_dependency([cols[j] for j in circuit], p)
+        others = [u for u in range(n) if u not in circuit]
+        cset, relation = frozenset(circuit), dict(zip(circuit, dep))
+        for divisor in combinations(others, n - len(circuit) + 1 - a):
+            support = cset.union(divisor)
+            vec = {position[tuple(sorted(support - {j}))]: c for j, c in relation.items()}
+            generators.append(vec)
+            if support not in local:  # one echelon of dependencies per support
+                local[support] = SparseIntEchelon(p)
+            if local[support].add(relation):
+                independent.append(vec)
+    ech = SparseIntEchelon(p)
+    for vec in sorted(independent, key=max, reverse=True):
+        ech.add(vec)
+    return RelationSpace(a, ambient, generators, ech.rank)

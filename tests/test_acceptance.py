@@ -34,6 +34,7 @@ from reference import (
     b1_singular_line_arrangement,
     b1_veronese,
     betti_nminus2_arrangement,
+    relation_space_by_circuits,
 )
 
 SEED = 0xF01DBE77
@@ -94,7 +95,10 @@ def test_criterion_03_example_2_5_full_tables():
 def test_criterion_04_example_4_3_golden():
     sigma = normalize([((1, 0), 3), ((0, 1), 2)], 2)
     space = relation_space(sigma, 3)
-    assert len(space.generators) == 12
+    # one fundamental circuit per 3-subset U and element outside its greedy
+    # basis: sum of |U| - rank U is 11; every circuit with every divisor is 12
+    assert len(space.generators) == 11
+    assert len(relation_space_by_circuits(sigma, 3).generators) == 12
     assert space.rank == 7
     assert betti_recursion(sigma, 3).b == (3, 2)
     assert betti_from_hilbert(sigma, 3).b == (3, 2)

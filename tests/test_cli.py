@@ -525,8 +525,8 @@ def test_hamming_weights_of_a_huge_multiplicity_are_quick(tmp_path):
 
 
 def test_verify_fold_1_of_24_generic_forms_is_quick(tmp_path):
-    # fold 1 asks for circuits of up to n = 24 columns, but none has more
-    # than rank + 1 = 4; every larger subset once went through a rank test
+    # fold 1 has one support of 24 columns, echelonized once; a circuit
+    # enumeration once put every subset of up to 24 columns through a rank test
     doc = {"k": 3, "forms": [{"coeffs": ["1", str(t), str(t * t)]} for t in range(1, 25)]}
     child = run_child(["verify", "--input", write_instance(tmp_path, doc), "--fold", "1", "--json"],
                       timeout=30)

@@ -17,7 +17,7 @@ from foldbetti import (
     normalize,
     subset_rank,
 )
-from foldbetti import forms, oracle
+from foldbetti import forms, matroid
 from foldbetti.forms import FormCollection, canonical_coeffs, full_rank
 
 from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections
@@ -285,14 +285,14 @@ def test_constructor_canonicalizes_each_form_once(monkeypatch):
 
 
 def test_the_store_empties_every_table_together(example_2_5, monkeypatch):
-    # two full ranks fill a store of limit 2; the next miss, in another
-    # table, reads one of them and empties both tables before it stores
+    # two full ranks fill a store of limit 2; the next miss, in other
+    # tables, reads one of them and empties every table before it stores
     monkeypatch.setattr(forms, "MEMO_LIMIT", 2)
     clear_memos()
     full_rank(normalize([((1, 0), 1), ((0, 1), 1)], 2))
     assert full_rank(example_2_5) == 3
     assert forms.memo_entries() == 2
-    relations = tuple(oracle._circuit_relations(example_2_5, 2))
-    assert forms._full_rank_cache == {} and oracle._relations_cache == {example_2_5: (2, relations)}
+    weights = matroid.hamming_weights(example_2_5)
+    assert forms._full_rank_cache == {} and matroid._hamming_cache == {example_2_5: weights}
     clear_memos()
     assert forms.memo_entries() == 0

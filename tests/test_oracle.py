@@ -1,6 +1,9 @@
 """Hilbert-function and circuit-relation oracles, guardrails included."""
 
+import json
 import random
+import time
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -19,12 +22,13 @@ from foldbetti import (
     relation_space,
 )
 from foldbetti import forms, oracle
+from foldbetti.cli import parse_instance, run
 from foldbetti.forms import basis_coordinates, canonical_coeffs, clear_memos, full_rank
-from foldbetti.matroid import circuits_up_to
 from foldbetti.oracle import OracleLimitError, hf_report
 
 from conftest import (
     distinct_products_reference,
+    fold_products_reference,
     gauss_rank,
     hilbert_function_reference,
     make_random_arrangement,
@@ -32,7 +36,7 @@ from conftest import (
     raw_collections,
     small_collections,
 )
-from reference import monomial_basis, rank2_flats
+from reference import monomial_basis, rank2_flats, relation_space_by_circuits
 
 
 def distinct_polys(polys):
@@ -114,9 +118,14 @@ def test_betti_from_hilbert_tail(rng):
 
 def test_relation_space_example(example_4_3):
     space = relation_space(example_4_3, 3)
+    reference = relation_space_by_circuits(example_4_3, 3)
     assert space.ambient_dim == 10
-    assert len(space.generators) == 12
-    assert space.rank == 7
+    # sum over the ten 3-subsets U of |U| - rank U: one fundamental circuit
+    # per element outside the greedy basis, where the 12 circuit-and-divisor
+    # vectors of the reference span the same space
+    assert len(space.generators) == 11
+    assert len(reference.generators) == 12
+    assert space.rank == reference.rank == 7
     dense = [[vec.get(c, 0) for c in range(space.ambient_dim)] for vec in space.generators]
     assert gauss_rank(dense) == 7
 
@@ -133,18 +142,17 @@ def test_relation_space_nminus2(example_3_6):
 
 
 def test_relation_generator_counts(rng):
-    from foldbetti import circuits_up_to
-
+    # one generator per support U and element outside its greedy basis
     for _ in range(8):
         sigma = make_random_collection(rng, max_n=6)
-        n = sigma.n
+        n, cols = sigma.n, sigma.expanded_columns()
         if n < 2:
             continue
         for a in range(1, n):
             space = relation_space(sigma, a)
             expected = sum(
-                comb(n - len(c), n - len(c) - a + 1)
-                for c in circuits_up_to(sigma, n - a + 1)
+                len(support) - gauss_rank([cols[u] for u in support])
+                for support in combinations(range(n), n - a + 1)
             )
             assert len(space.generators) == expected
 
@@ -156,17 +164,8 @@ def test_relation_space_is_order_free_and_ranks_its_generators(p, collection):
     k, raw = collection
     sigma = normalize(raw, k, p)
     folds = range(1, sigma.n)
-    enumerations = []
-
-    def counted(sigma, max_len):
-        enumerations.append(max_len)
-        return circuits_up_to(sigma, max_len)
-
     clear_memos()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "circuits_up_to", counted)
-        ascending = [relation_space(sigma, a) for a in folds]
-    assert enumerations == [sigma.n][: len(folds)]  # fold 1 enumerates for all
+    ascending = [relation_space(sigma, a) for a in folds]
     clear_memos()
     descending = [relation_space(sigma, a) for a in reversed(folds)][::-1]
     fresh = []
@@ -180,13 +179,65 @@ def test_relation_space_is_order_free_and_ranks_its_generators(p, collection):
 
 
 def test_circuit_relations_live_in_the_memo_store(example_4_3):
+    # the relations are built anew for each fold: the oracle keeps no table
     clear_memos()
     relation_space(example_4_3, 3)
-    # the circuit enumeration ranks the collection once, in the full-rank table
-    assert list(oracle._relations_cache) == [example_4_3]
-    assert forms.memo_entries() == 2
+    assert forms.memo_entries() == 0
+
+
+def circuit_elements(generator, n, a):
+    """The elements of a generator's nonzero set: its keys are the subsets
+    U minus u of one support U of n-a+1 columns, for each element u it involves."""
+    subsets = list(combinations(range(n), n - a))
+    support = set().union(*(subsets[i] for i in generator))
+    assert len(support) == n - a + 1
+    return sorted(u for i in generator for u in support.difference(subsets[i]))
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(collection=small_collections())
+def test_fundamental_circuits_span_the_circuit_relations(p, collection):
+    k, raw = collection
+    sigma = normalize(raw, k, p)
+    n, cols = sigma.n, sigma.expanded_columns()
+    for a in range(1, n):
+        space = relation_space(sigma, a)
+        assert space.rank == relation_space_by_circuits(sigma, a).rank
+        # key i is the i-th (n-a)-subset; its fold product is of the a forms outside it
+        of_subset = dict(zip(combinations(range(n), a), fold_products_reference(sigma, a)))
+        products = [of_subset[tuple(u for u in range(n) if u not in s)]
+                    for s in combinations(range(n), n - a)]
+        for vec in space.generators:
+            total = {}
+            for i, c in vec.items():
+                for e, w in products[i].items():
+                    total[e] = total.get(e, 0) + c * w
+            assert all(w == 0 if p is None else w % p == 0 for w in total.values())
+            circuit = circuit_elements(vec, n, a)
+            assert len(circuit) == len(vec) >= 2
+            rank = gauss_rank([cols[u] for u in circuit], p)
+            assert rank == len(circuit) - 1  # dependent, and minimally so:
+            for u in circuit:
+                assert gauss_rank([cols[w] for w in circuit if w != u], p) == rank
+
+
+# k3_n24_g5 of the betti_multiplicity bench suite
+K3_N24_G5 = {"k": 3, "forms": [
+    {"coeffs": ["8", "1", "-2"], "mult": 6}, {"coeffs": ["-1", "-6", "5"], "mult": 4},
+    {"coeffs": ["9", "2", "-3"], "mult": 6}, {"coeffs": ["-7", "-5", "5"], "mult": 3},
+    {"coeffs": ["2", "1", "1"], "mult": 5}]}
+
+
+def test_a_small_fold_of_heavy_forms_verifies_quickly():
+    # fold 3 has C(24, 2) = 276 supports of 22 columns; every circuit with
+    # every choice of divided-out columns was 469,599 vectors, 8-16 s
     clear_memos()
-    assert oracle._relations_cache == {} and forms.memo_entries() == 0
+    start = time.perf_counter()
+    report = run("verify", parse_instance(json.dumps(K3_N24_G5)), [3])
+    assert time.perf_counter() - start < 3.0
+    (fold,) = report.data["results"]
+    assert report.ok and fold["verdict"] == "agree" and fold["methods"]["circuit_b1"] == 10
 
 
 def test_b1_via_circuits_values(example_4_3, example_2_5):

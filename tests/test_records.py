@@ -21,6 +21,7 @@ from foldbetti import (
     normalize,
 )
 from foldbetti.cli import InstanceFile, RunReport
+from foldbetti.forms import FrozenRecord
 
 # (record type, field names, positional values, frozen)
 RECORDS = [
@@ -141,3 +142,27 @@ def test_form_collection_canonicalizes(k, raw, p, groups):
     sigma = FormCollection(k, raw, p)
     assert sigma == normalize(raw, k, p)
     assert sigma.groups == groups
+
+
+def test_a_frozen_record_hashes_its_fields_once():
+    # the hash is kept in the slot _hash, which is no field: a memo lookup
+    # reads it, and equality, repr and pickling never see it
+    hashed = []
+
+    class Field:
+        def __hash__(self):
+            hashed.append(self)
+            return 7
+
+    class Single(FrozenRecord):
+        __slots__ = ("x",)
+
+    record = Single(Field())
+    assert hash(record) == hash(record) == 7  # one field: its own hash
+    assert len(hashed) == 1
+    sigma = FormCollection(2, (((1, 0), 2), ((1, 5), 1)), 7)
+    assert hash(sigma) == hash(sigma._values(sigma))
+    assert sigma.__reduce__() == (FormCollection, (2, sigma.groups, 7))
+    assert repr(sigma) == "FormCollection(k=2, groups=%r, p=7)" % (sigma.groups,)
+    twin = pickle.loads(pickle.dumps(sigma))
+    assert twin == sigma and hash(twin) == hash(sigma)
