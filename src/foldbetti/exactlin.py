@@ -10,13 +10,11 @@ Callers bring rational input to integers once, when forms are normalized.
 
 One engine, :class:`SparseIntEchelon`, does every elimination, pivoting on
 the first nonzero column, so every trace is deterministic.  The oracles,
-``forms.essentialize`` and the Tutte polynomial's coloop test add rows one
-at a time; :func:`bareiss_rank` is a one-shot rank over it.  A dense
-Bareiss loop ran those one-shot ranks about 3x faster on tiny matrices,
-but a pass over the bench suites makes only 9 (``betti_sweep``), 8
-(``betti_multiplicity``) and 734 (``verify_oracle``) of them, 3 ms in
-all, and it took 2.4 s on 500 coordinate forms against 0.02 s here
-(CPython 3.11.7, 2 vCPU).
+the pivot columns and basis coordinates in ``forms`` and the Tutte
+polynomial's coloop test add rows one at a time.  :func:`bareiss_rank` is
+a one-shot rank over it that now serves only ``matroid.subset_rank`` and
+``matroid.circuits_up_to``, which no route calls (the tests use them); it
+is kept by name because the benchmark's tracer wraps it.
 
 Everything here is a pure function of its inputs or owned by the caller, so
 values can be shared freely between concurrent callers.

@@ -23,13 +23,16 @@ one ambient variable (:func:`images_modulo`, which the flat enumerator and
 the Tutte polynomial in ``matroid`` share); the chosen form's own copies
 vanish, and no other form does.
 
-The effective rank is memoized per collection, and :func:`essentialize`
-answers every full-rank collection from that memo.  :func:`basis_coordinates`
-changes coordinates so that a basis of the forms is the first variables,
-reading each other form's coordinates off :func:`circuit_dependency`; the
-Hilbert oracle climbs there.
+One echelon of the group rows answers each question about a collection's
+coefficient matrix.  The pivot columns of that echelon are memoized per
+collection: :func:`full_rank` counts them and :func:`essentialize` keeps
+them as its coordinates, returning a full-rank collection itself.
+:func:`basis_coordinates` changes coordinates so that a basis of the forms
+is the first variables, reading each other form's coordinates off one
+echelon with a reversed unit column per group; the Hilbert oracle climbs
+there.
 
-This module owns every memo table of the package: the full-rank table
+This module owns every memo table of the package: the pivot-column table
 here, the flats, Hamming weights and Tutte polynomials in ``matroid`` and
 the recursion tables in ``betti``.
 Each is a plain dict made by :func:`memo_table`; a hit is a ``dict.get``,
@@ -48,7 +51,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from threading import Lock
 
-from .exactlin import SparseIntEchelon, bareiss_rank
+from .exactlin import SparseIntEchelon
 
 # Every fold of a random all-single k = 9, n = 24 collection under auto
 # fills 170,560 entries in 16-20 s (k = 8, n = 22: 38,775); 2^19 leaves
@@ -283,13 +286,21 @@ def contract(sigma: FormCollection, group_index: int):
     return FormCollection(sigma.k - 1, zip(images, [m for _, m in others]), sigma.p)
 
 
+def _pivots(sigma: FormCollection):
+    """The sorted pivot columns of one echelon of the group rows, memoized."""
+    pivots = _full_rank_cache.get(sigma)
+    if pivots is None:
+        ech = SparseIntEchelon(sigma.p)
+        for coeffs, _ in sigma.groups:  # one form per group: copies never raise the rank
+            ech.add(dict(enumerate(coeffs)))
+        pivots = memo_put(_full_rank_cache, sigma, tuple(sorted(ech.pivot_rows)))
+    return pivots
+
+
 def full_rank(sigma: FormCollection) -> int:
-    """Rank of the whole coefficient matrix (the effective rank), memoized."""
-    r = _full_rank_cache.get(sigma)
-    if r is None:
-        # one form per group: copies never raise the rank
-        r = memo_put(_full_rank_cache, sigma, bareiss_rank([coeffs for coeffs, _ in sigma.groups], sigma.p))
-    return r
+    """Rank of the whole coefficient matrix (the effective rank): the number
+    of memoized pivot columns."""
+    return len(_pivots(sigma))
 
 
 def essentialize(sigma: FormCollection) -> FormCollection:
@@ -299,39 +310,18 @@ def essentialize(sigma: FormCollection) -> FormCollection:
     change of coordinates is invertible on the span, so every subset rank
     (hence every Betti number) is unchanged.  The kept coordinates are the
     leading columns of an echelon basis of the forms, which are the pivot
-    columns of any echelon form of the coefficient matrix's transpose.
+    columns of any echelon form of the coefficient matrix's transpose: the
+    memoized ones :func:`full_rank` counts, so no second echelon is built.
 
     A full-rank collection, which is what the recursion asks about at every
-    node and fold, is its own essential form: the memoized :func:`full_rank`
-    answers it, and it comes back as the same object.
+    node and fold, is its own essential form and comes back as the same
+    object.
     """
-    if full_rank(sigma) == sigma.k:
+    pivots = _pivots(sigma)
+    if len(pivots) == sigma.k:
         return sigma
-    ech = SparseIntEchelon(sigma.p)
-    for coeffs, _ in sigma.groups:
-        ech.add(dict(enumerate(coeffs)))
-    pivots = sorted(ech.pivot_rows)
     raw = [(tuple(coeffs[c] for c in pivots), mult) for coeffs, mult in sigma.groups]
     return FormCollection(len(pivots), raw, sigma.p)
-
-
-def circuit_dependency(cols, p=None):
-    """The one linear dependency of columns of nullity 1, such as a circuit's.
-
-    It comes in the canonical scale of forms: over Q primitive with a
-    positive first entry, over GF(p) with first entry 1.  Echelonizes the
-    rows [v_i | e_i]: the v-parts span rank s - 1, so exactly one stored row
-    has its leading column at or past k, and its e-part holds the
-    coefficients c with sum c_i v_i = 0.
-    """
-    k, s = len(cols[0]), len(cols)
-    ech = SparseIntEchelon(p)
-    for i, col in enumerate(cols):
-        ech.add({**dict(enumerate(col)), k + i: 1})
-    deps = [[row.get(j, 0) for j in range(k, k + s)] for c, row in ech.pivot_rows.items() if c >= k]
-    if len(deps) != 1:
-        raise AssertionError("columns %r have nullity %d, not 1" % (cols, len(deps)))
-    return canonical_coeffs(deps[0], p)
 
 
 def basis_coordinates(sigma: FormCollection) -> FormCollection:
@@ -341,21 +331,25 @@ def basis_coordinates(sigma: FormCollection) -> FormCollection:
     The rows of the invertible k x k matrix B are the groups that raise the
     rank, in canonical order (heaviest multiplicity first), completed by
     unit vectors when the rank r is below k.  Basis group i becomes x_i.
-    Each other group becomes its coordinates in the basis groups before it,
-    read off the one dependency of (those groups, the form) by
-    :func:`circuit_dependency`; no form has a coordinate on the k - r unit
+    Each group g is added once to one echelon, as [v_g | e_(top - g)]: its
+    unit column lies left of every earlier group's.  A group that does not
+    raise the rank leaves a row whose v-part is zero and which leads at its
+    own unit column, so nothing earlier reduced it: its e-part is the one
+    dependency of g on the basis groups before it, which gives its
+    coordinates up to scale.  No form has a coordinate on the k - r unit
     vectors, so every form ends in k - r zeros.  The forms stay pairwise
     non-proportional with their multiplicities, and a graded automorphism
     of the polynomial ring maps each fold ideal onto the new collection's
     degree by degree, so every Hilbert value is kept.
     """
     k, p = sigma.k, sigma.p
+    top = k + sigma.t - 1  # the unit column of the first group
     ech, basis, raw = SparseIntEchelon(p), [], []
-    for coeffs, mult in sigma.groups:
-        if ech.add(dict(enumerate(coeffs))):
-            coords = (0,) * len(basis) + (1,)
-            basis.append(coeffs)
-        else:
-            coords = circuit_dependency(basis + [coeffs], p)[:-1]
-        raw.append((coords + (0,) * (k - len(coords)), mult))
+    for g, (coeffs, mult) in enumerate(sigma.groups):
+        ech.add({**dict(enumerate(coeffs)), top - g: 1})
+        dep = ech.pivot_rows.get(top - g)
+        if dep is None:  # g raised the rank: it is the next variable
+            basis.append(top - g)
+            dep = {top - g: 1}
+        raw.append((tuple(dep.get(c, 0) for c in basis) + (0,) * (k - len(basis)), mult))
     return FormCollection(k, raw, p)

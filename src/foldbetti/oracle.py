@@ -13,16 +13,20 @@ degree is full, every later one is, and its value is dim S_d.  Monomials
 are integer keys on which each x_i acts by subtracting a constant (see
 :func:`_steps`), so no degree builds a basis or an index table.  A fold's
 Betti table or HF report climbs once, to its largest degree, from the
-distinct fold products: one per exponent vector over the groups.
+distinct fold products: one per exponent vector over the groups.  Both
+pass the cell limit through :func:`hf_report`, which bisects their
+ascending degree range for the first degree refused.
 
 The climb runs in coordinates where a basis of the forms is x_1..x_r
-(``forms.basis_coordinates``), so most fold products are near-monomials
-with small coefficients; every fold of a random k = 4, n = 9 collection
-took 0.2 s instead of 3 s (CPython 3.11.7, 2 vCPU).  The values stay exact: an invertible linear
-change of coordinates is a graded automorphism of S, which maps the fold
-ideal onto the new collection's fold ideal degree by degree, and rescaling
-a form does not change the ideal.  ``fold_generators`` keeps the forms' own
-coordinates.
+(``forms.basis_coordinates``, read off one echelon of the groups with
+reversed unit columns, as the circuit oracle reads its fundamental
+circuits), so most fold products are near-monomials with small
+coefficients; every fold of a random k = 4, n = 9 collection took 0.2 s
+instead of 3 s (CPython 3.11.7, 2 vCPU).  The values stay exact: an
+invertible linear change of coordinates is a graded automorphism of S,
+which maps the fold ideal onto the new collection's fold ideal degree by
+degree, and rescaling a form does not change the ideal.
+``fold_generators`` keeps the forms' own coordinates.
 
 The circuit oracle reads, off one echelon per support U of n - a + 1
 columns, a fundamental circuit for each element outside U's greedy basis;
@@ -40,13 +44,7 @@ from math import comb
 
 from .betti import BettiTable
 from .exactlin import SparseIntEchelon
-from .forms import (  # circuit_dependency is re-exported
-    FormCollection,
-    Record,
-    basis_coordinates,
-    circuit_dependency,
-    essentialize,
-)
+from .forms import FormCollection, Record, basis_coordinates, essentialize
 
 CELL_LIMIT = 5_000_000
 RELATION_AMBIENT_LIMIT = 200_000
@@ -200,20 +198,16 @@ def betti_from_hilbert(sigma: FormCollection, a: int) -> BettiTable:
     """Betti table recovered degree by degree from exact Hilbert values.
 
     b_1 is HF at the generation degree; each later b_i is an alternating
-    binomial combination of earlier ones plus the next HF value.  Every
-    degree passes the cell limit, in order, before any is computed; then one
-    climb to degree a + k - 1 yields every value, and it stops at the first
-    full degree.  A negative intermediate would contradict the linearity of
-    the resolution, so it is reported as an error rather than clamped.
+    binomial combination of earlier ones plus the next HF value, all from
+    one :func:`hf_report` over degrees a..a + k - 1.  A negative
+    intermediate would contradict the linearity of the resolution, so it is
+    reported as an error rather than clamped.
     """
     if not 1 <= a <= sigma.n:
         raise ValueError("fold %d out of range 1..%d" % (a, sigma.n))
     ess = essentialize(sigma)
     k = ess.k
-    for d in range(a, a + k):
-        _check_cells(ess, a, d)
-    hf, b = {}, []
-    hilbert_function(ess, a, a + k - 1, hf)
+    hf, b = hf_report(ess, a, range(a, a + k)).values, []
     for i in range(1, k + 1):
         v = (-1) ** (i - 1) * hf[a + i - 1]
         for j in range(1, i):
@@ -233,30 +227,22 @@ class HFReport(Record):
         return {"a": self.a, "hf": {str(d): v for d, v in sorted(self.values.items())}}
 
 
-def hf_report(sigma: FormCollection, a: int, degrees) -> HFReport:
-    """HF at each degree, in any order, from one climb to the largest.
+def hf_report(sigma: FormCollection, a: int, degrees: range) -> HFReport:
+    """HF at each degree of an ascending range, from one climb to the largest.
 
-    ``degrees`` is read once, so a generator serves as well as a range; each
-    degree passes the limits as it is read, in the order given, so a huge
-    range is refused before it is held in memory.  The limits grow with d,
-    so an ascending range is bisected instead for the degree reading refuses;
-    when there is none, every degree of the range passes.
+    The limits grow with d, so the range is bisected for the first degree
+    they refuse, which is refused as a check of each degree in turn would
+    refuse it, and a huge range is never held in memory; when there is
+    none, every degree of the range passes.
     """
-    if isinstance(degrees, range) and degrees.step > 0 and degrees:
+    values = {}
+    if degrees:
         _check_cells(sigma, a, degrees[0])
         first = bisect_left(degrees, True, key=lambda d: _refusal(sigma, a, d) is not None)
         if first < len(degrees):
             _check_cells(sigma, a, degrees[first])
-        read = degrees
-    else:
-        read = []
-        for d in degrees:
-            _check_cells(sigma, a, d)
-            read.append(d)
-    values = {}
-    if read:
-        hilbert_function(sigma, a, max(read), values)
-    return HFReport(a, {d: values[d] for d in read})
+        hilbert_function(sigma, a, degrees[-1], values)
+    return HFReport(a, {d: values[d] for d in degrees})
 
 
 class RelationSpace(Record):

@@ -1,7 +1,8 @@
 """Shared fixtures: the worked examples as collections, random generators
 (Hypothesis strategies among them), the naive reference eliminator, the
-plain-matrix Hilbert function, the reset that empties the memo tables, and a
-terminal-summary hook that prints one line per acceptance criterion."""
+plain-matrix Hilbert function, the reset that empties the memo tables, a
+counter of echelon rows, and a terminal-summary hook that prints one line
+per acceptance criterion."""
 
 import random
 from fractions import Fraction
@@ -46,6 +47,19 @@ def gauss_rank(rows, p=None):
         if r == nr:
             break
     return r
+
+
+def count_adds(monkeypatch, module):
+    """The rows that ``module``'s echelons add from now on, in order."""
+    added = []
+
+    class Counted(module.SparseIntEchelon):
+        def add(self, row):
+            added.append(row)
+            return super().add(row)
+
+    monkeypatch.setattr(module, "SparseIntEchelon", Counted)
+    return added
 
 
 def fold_products_reference(sigma, a):

@@ -23,9 +23,15 @@ so they stay here as independent references:
 - :func:`monomial_basis`, the exponent tuples of one degree in descending
   lexicographic order, which index the plain Hilbert matrix of
   ``conftest.hilbert_function_reference`` beside the oracle's integer keys;
+- :func:`circuit_dependency`, the one dependency of columns of nullity 1
+  from an echelon of its own;
 - :func:`relation_space_by_circuits`, the circuit relation space from every
   circuit with every choice of divided-out columns, beside the oracle's
-  fundamental circuits of each support.
+  fundamental circuits of each support;
+- :func:`basis_coordinates_by_circuits`, the change of coordinates that
+  makes a basis of the forms the first variables, with one
+  :func:`circuit_dependency` per dependent group, beside
+  ``forms.basis_coordinates``, which reads them all off one echelon.
 """
 
 from itertools import combinations
@@ -33,7 +39,7 @@ from math import comb, gcd
 
 from foldbetti.betti import BettiTable, _entry, _zero_table, betti_rank2
 from foldbetti.exactlin import SparseIntEchelon
-from foldbetti.forms import FormCollection, circuit_dependency, contract, essentialize
+from foldbetti.forms import FormCollection, canonical_coeffs, contract, essentialize
 from foldbetti.matroid import (
     TuttePoly,
     _flats,
@@ -325,3 +331,42 @@ def relation_space_by_circuits(sigma: FormCollection, a: int) -> RelationSpace:
     for vec in sorted(independent, key=max, reverse=True):
         ech.add(vec)
     return RelationSpace(a, ambient, generators, ech.rank)
+
+
+def circuit_dependency(cols, p=None):
+    """The one linear dependency of columns of nullity 1, such as a circuit's.
+
+    It comes in the canonical scale of forms: over Q primitive with a
+    positive first entry, over GF(p) with first entry 1.  Echelonizes the
+    rows [v_i | e_i]: the v-parts span rank s - 1, so exactly one stored row
+    has its leading column at or past k, and its e-part holds the
+    coefficients c with sum c_i v_i = 0.
+    """
+    k, s = len(cols[0]), len(cols)
+    ech = SparseIntEchelon(p)
+    for i, col in enumerate(cols):
+        ech.add({**dict(enumerate(col)), k + i: 1})
+    deps = [[row.get(j, 0) for j in range(k, k + s)] for c, row in ech.pivot_rows.items() if c >= k]
+    if len(deps) != 1:
+        raise AssertionError("columns %r have nullity %d, not 1" % (cols, len(deps)))
+    return canonical_coeffs(deps[0], p)
+
+
+def basis_coordinates_by_circuits(sigma: FormCollection) -> FormCollection:
+    """``forms.basis_coordinates`` with a fresh echelon per dependent group.
+
+    The groups that raise the rank, in canonical order, become x_1, x_2, ...;
+    each other group becomes its coordinates in the basis groups before it,
+    read off the one dependency of (those groups, the form) by
+    :func:`circuit_dependency`, and padded with zeros to k.
+    """
+    k, p = sigma.k, sigma.p
+    ech, basis, raw = SparseIntEchelon(p), [], []
+    for coeffs, mult in sigma.groups:
+        if ech.add(dict(enumerate(coeffs))):
+            coords = (0,) * len(basis) + (1,)
+            basis.append(coeffs)
+        else:
+            coords = circuit_dependency(basis + [coeffs], p)[:-1]
+        raw.append((coords + (0,) * (k - len(coords)), mult))
+    return FormCollection(k, raw, p)

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from foldbetti.exactlin import SparseIntEchelon, bareiss_rank
 from foldbetti.forms import FormCollection, canonical_coeffs, images_modulo, normalize
-from foldbetti.oracle import circuit_dependency
 
 from conftest import gauss_rank
-from reference import CrossMultipliedEchelon
+from reference import CrossMultipliedEchelon, circuit_dependency
 
 G_2_5 = [
     (1, 1, 0, 0, 1, 0, 1),

@@ -20,7 +20,7 @@ from foldbetti import (
 from foldbetti import forms, matroid
 from foldbetti.forms import FormCollection, canonical_coeffs, full_rank
 
-from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections
+from conftest import clear_memos, count_adds, gauss_rank, make_random_collection, raw_collections
 
 
 def test_normalize_merges_proportional():
@@ -188,6 +188,18 @@ def test_essentialize_keeps_the_pivot_columns(p):
 
 def test_essentialize_full_rank_is_identity(example_2_5):
     assert essentialize(example_2_5) is example_2_5
+
+
+def test_essentialize_reads_the_pivots_of_full_rank(monkeypatch):
+    # one echelon of the group rows serves both: full_rank memoizes its
+    # pivot columns and essentialize keeps them, adding no row of its own
+    added = count_adds(monkeypatch, forms)
+    sigma = normalize([((0, 1, 0), 1), ((0, 0, 1), 1), ((0, 1, 1), 2)], 3)
+    clear_memos()
+    assert full_rank(sigma) == 2 and len(added) == sigma.t
+    added.clear()
+    assert essentialize(sigma) == normalize([((1, 0), 1), ((0, 1), 1), ((1, 1), 2)], 2)
+    assert added == []
 
 
 def test_essentialize_500_coordinate_forms_is_quick():

@@ -27,6 +27,7 @@ from foldbetti.forms import basis_coordinates, canonical_coeffs, clear_memos, fu
 from foldbetti.oracle import OracleLimitError, hf_report
 
 from conftest import (
+    count_adds,
     distinct_products_reference,
     fold_products_reference,
     gauss_rank,
@@ -36,7 +37,12 @@ from conftest import (
     raw_collections,
     small_collections,
 )
-from reference import monomial_basis, rank2_flats, relation_space_by_circuits
+from reference import (
+    basis_coordinates_by_circuits,
+    monomial_basis,
+    rank2_flats,
+    relation_space_by_circuits,
+)
 
 
 def distinct_polys(polys):
@@ -399,13 +405,8 @@ def test_each_degree_is_echelonized_once(example_2_5, monkeypatch):
 
 
 def test_hf_report_reads_the_degrees_once(example_2_5):
-    # a generator is exhausted by the cell checks if it is read twice
-    report = hf_report(example_2_5, 4, (d for d in range(4, 7)))
-    assert report.values == {4: 14, 5: 20, 6: 27}
-    report = hf_report(example_2_5, 4, [6, 4])
-    assert report.values == {6: 27, 4: 14}
-    assert report.to_json_dict() == {"a": 4, "hf": {"4": 14, "6": 27}}
-    assert hf_report(example_2_5, 4, []).values == {}
+    # a range is read by index, so an empty one climbs nowhere
+    assert hf_report(example_2_5, 4, range(4, 4)).values == {}
 
 
 def test_hf_report_sizes_an_ascending_range_by_bisection(monkeypatch):
@@ -426,12 +427,12 @@ def test_hf_report_sizes_an_ascending_range_by_bisection(monkeypatch):
 
 def test_one_variable_counts_the_climb_against_the_cell_limit(monkeypatch):
     # every degree of k = 1 has one column, so no degree passes the cell
-    # limit: the climb's values are counted against it, and an ascending
-    # range is refused at the same degree as a generator read degree by degree
+    # limit: the climb's values are counted against it, and a long range is
+    # refused at the same degree as a range that holds that degree alone
     sigma = normalize([((1,), 2)], 1)
     monkeypatch.setattr(oracle, "CELL_LIMIT", 10)
     assert hf_report(sigma, 1, range(1, 11)).values == dict.fromkeys(range(1, 11), 1)
-    for degrees in (range(1, 10**8), (d for d in range(1, 10**8)), [11]):
+    for degrees in (range(1, 10**8), range(11, 12)):
         with pytest.raises(OracleLimitError) as exc:
             hf_report(sigma, 1, degrees)
         assert str(exc.value) == "Hilbert climb from degree 1 to 11 would hold 11 values; limit is 10"
@@ -512,6 +513,44 @@ def test_basis_coordinates_send_a_basis_to_unit_vectors(p):
                 form = [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(k)]
                 images.append((canonical_coeffs(form, p), m))
             assert sorted(images) == sorted(sigma.groups)
+
+
+@st.composite
+def spanned_collections(draw):
+    """(k, raw forms): k <= 5, each form a combination of 1..k drawn vectors,
+    so the rank is often below k, and some forms drawn again, up to a
+    scale, so that groups merge."""
+    k = draw(st.integers(1, 5))
+    span = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=1, max_size=k))
+    combos = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(span)), min_size=1, max_size=8))
+    raw = [(tuple(sum(c * v[i] for c, v in zip(combo, span)) for i in range(k)), draw(st.integers(1, 3)))
+           for combo in combos]
+    for i, scale in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.sampled_from((1, -1, 2))),
+                                  max_size=3)):
+        raw.append((tuple(scale * x for x in raw[i][0]), 1))
+    return k, raw
+
+
+@pytest.mark.parametrize("p", FIELDS)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(collection=spanned_collections())
+def test_basis_coordinates_match_one_dependency_per_group(p, collection):
+    # each dependent group's coordinates are the kernel row that leads at its
+    # own reversed unit column; the reference echelonizes each dependency anew
+    k, raw = collection
+    assume(any(any(x % p if p else x for x in coeffs) for coeffs, _ in raw))
+    sigma = normalize(raw, k, p)
+    assert basis_coordinates(sigma) == basis_coordinates_by_circuits(sigma)
+
+
+def test_basis_coordinates_add_each_group_once(monkeypatch):
+    added = count_adds(monkeypatch, forms)
+    for p in FIELDS:
+        for deficient in (False, True):
+            for sigma in seeded_collections(4, p, 20, deficient):
+                added.clear()
+                basis_coordinates(sigma)
+                assert len(added) == sigma.t, sigma
 
 
 @pytest.mark.parametrize("p", FIELDS)
