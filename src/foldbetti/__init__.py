@@ -28,7 +28,6 @@ from .forms import (
 from .matroid import (
     HammingWeights,
     TuttePoly,
-    circuits_up_to,
     hamming_weights,
     height_of_fold_ideal,
     subset_rank,

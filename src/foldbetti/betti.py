@@ -20,14 +20,14 @@ With s[u, j] the coefficient of x^u y^j in T(x+1, y), expanding 1/(z+w) at
 z = infinity gives b_i(a) = sum_{m<i} (-1)^m sum_u s[u, n-k+u-a-m] C(k-u, i-1-m).
 
 :func:`betti_recursion` is the independent route, and it never reads T:
-deletion-contraction down to closed forms (maximal power, rank 2, height-1
-reduction, a = n, a = n-1, Cohen-Macaulay generic), chosen by the height of
-the fold ideal and by genericity, both read off the generalized Hamming
-weights.  Weights, effective rank and T are memoized per collection
-(``matroid``, ``forms``).  Tables are reported for the effective rank, so
-collections are essentialized first; the recursion memo is keyed by
-(canonical collection, fold), which is all a table depends on.  Every memo
-table belongs to the store in ``forms``.
+deletion-contraction down to three base cases (maximal power, height-1
+reduction, Cohen-Macaulay generic), chosen by the height of the fold ideal
+and by genericity, both read off the generalized Hamming weights; rank
+<= 2, a = n and a = n-1 fall into them.  Weights, effective rank and T are
+memoized per collection (``matroid``, ``forms``).  Tables are reported for
+the effective rank, so collections are essentialized first; the recursion
+memo is keyed by (canonical collection, fold), which is all a table depends
+on.  Every memo table belongs to the store in ``forms``.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def betti_from_b1_height_km1(k: int, a: int, b1: int) -> BettiTable:
 
 
 def betti_rank2(sigma: FormCollection, a: int) -> BettiTable:
-    """Rank <= 2: (e+1, e), e = max(a - sum max(m_i + a - n, 0), 0); rank 1 gives (1,)."""
+    """Rank <= 2: (e+1, e), e = max(a - sum max(m_i + a - n, 0), 0); rank 1 gives (1,).
+    No route calls it: the tests compare it with the recursion, the tracer wraps it."""
     ess = essentialize(sigma)
     if ess.k > 2:
         raise ValueError("effective rank %d exceeds 2" % ess.k)
@@ -146,8 +147,8 @@ def betti_height1_reduce(sigma: FormCollection, a: int):
     """
     ess = essentialize(sigma)
     n = ess.n
-    if a >= n:
-        raise ValueError("a = n is the principal case, not a height-1 reduction")
+    if a >= n or ess.k == 1:
+        raise ValueError("a = n or effective rank 1 gives a principal ideal, not a height-1 reduction")
     if height_of_fold_ideal(ess, a) != 1:
         raise ValueError("fold %d does not sit in the height-1 window" % a)
     raw = [(coeffs, min(mult, n - a)) for coeffs, mult in ess.groups]
@@ -155,7 +156,8 @@ def betti_height1_reduce(sigma: FormCollection, a: int):
 
 
 def betti_nminus1(sigma: FormCollection) -> BettiTable:
-    """At fold n-1 the table is (t, t-1, 0, ...) with t the group count."""
+    """At fold n-1 the table is (t, t-1, 0, ...) with t the group count.  No route
+    calls it: the tests compare it with the recursion, the tracer wraps it."""
     ess = essentialize(sigma)
     n, k, t = ess.n, ess.k, ess.t
     if n < 2:
@@ -185,10 +187,9 @@ def betti_cm_generic(sigma: FormCollection, a: int) -> BettiTable:
     n, k = ess.n, ess.k
     if not n - k + 1 <= a <= n:
         raise ValueError("fold %d outside the Cohen-Macaulay window %d..%d" % (a, n - k + 1, n))
-    h = min(n - a + 1, k)
-    if not is_generic(ess, h):
-        raise ValueError("not (n-a)-generic")
     p = n - a + 1
+    if not is_generic(ess, p):
+        raise ValueError("not (n-a)-generic")
     b = tuple(
         comb(n, i + a - 1) * comb(i + a - 2, a - 1) if i <= p else 0
         for i in range(1, k + 1)
@@ -209,10 +210,10 @@ def herzog_kuhl_residuals(table: BettiTable, a: int, height: int):
 def betti_recursion(sigma: FormCollection, a: int) -> BettiTable:
     """Full Betti table by deletion-contraction with closed-form base cases.
 
-    Dispatch order: trivial fold, essentialize, rank <= 2, maximal power
-    (height k), height-1 reduction, a = n, a = n-1, Cohen-Macaulay generic,
-    and only then one deletion-contraction step at the group of largest
-    multiplicity.
+    Dispatch order: trivial fold, essentialize, then on the height h of the
+    fold ideal: maximal power (h = k), height-1 reduction (h = 1, a < n),
+    Cohen-Macaulay generic (which takes a = n), and only then one
+    deletion-contraction step at the group of largest multiplicity.
     """
     if a < 1:
         raise ValueError("fold must be at least 1")
@@ -228,8 +229,6 @@ def _recursion_dispatch(ess, a):
     k, n = ess.k, ess.n
     if a > n:
         return _zero_table(a, k)
-    if k <= 2:
-        return betti_rank2(ess, a)
     h = height_of_fold_ideal(ess, a)
     if h == k:
         return betti_maximal_power(k, a)
@@ -237,14 +236,9 @@ def _recursion_dispatch(ess, a):
         reduced, e = betti_height1_reduce(ess, a)
         inner = betti_recursion(reduced, e)
         return BettiTable(a, inner.k, inner.b)
-    if a == n:
-        return BettiTable(a, k, (1,) + (0,) * (k - 1))
-    if a == n - 1:
-        return betti_nminus1(ess)
-    if a >= n - k + 1 and is_generic(ess, min(n - a + 1, k)):
+    if a >= n - k + 1 and is_generic(ess, n - a + 1):
         return betti_cm_generic(ess, a)
-    # rank k >= 3 means three or more groups, so both minors exist; the height-1
-    # branch took every a > d_(k-1) = n - m_0, which is the contraction's n
+    # 2 <= h < k, so k >= 3 and both minors exist; a <= d_(k-1) = n - m_0, the contraction's n
     t_del = betti_recursion(delete(ess, 0), a - 1)
     t_con = betti_recursion(contract(ess, 0), a)
     b = tuple(
@@ -258,7 +252,7 @@ def compute_betti(sigma: FormCollection, a: int, method: str = "auto") -> BettiT
     """Betti table by the requested method.
 
     ``auto`` sends a > n (zero table) and effective rank <= 2 to the
-    recursion's closed forms and reads every other fold off T, as
+    recursion's height rules and reads every other fold off T, as
     ``tutte_hk`` does for every 1 <= a <= n; ``recursion`` enforces
     1 <= a <= n; ``oracle`` delegates to the Hilbert-function engine.
     """

@@ -12,9 +12,9 @@ One engine, :class:`SparseIntEchelon`, does every elimination, pivoting on
 the first nonzero column, so every trace is deterministic.  The oracles,
 the pivot columns and basis coordinates in ``forms`` and the Tutte
 polynomial's coloop test add rows one at a time.  :func:`bareiss_rank` is
-a one-shot rank over it that now serves only ``matroid.subset_rank`` and
-``matroid.circuits_up_to``, which no route calls (the tests use them); it
-is kept by name because the benchmark's tracer wraps it.
+a one-shot rank over it that now serves only ``matroid.subset_rank``, which
+no route calls (the tests use it); it is kept by name because the
+benchmark's tracer wraps it.
 
 Everything here is a pure function of its inputs or owned by the caller, so
 values can be shared freely between concurrent callers.

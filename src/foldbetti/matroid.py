@@ -1,8 +1,8 @@
 """The matroid of a form collection's coefficient matrix.
 
 Column indices are 0-based and multiplicity-expanded (copy i of a group is
-its own ground-set element).  Provides subset ranks, circuits, generalized
-Hamming weights, fold-ideal heights, and the Tutte polynomial computed by
+its own ground-set element).  Provides subset ranks, generalized Hamming
+weights, fold-ideal heights, and the Tutte polynomial computed by
 deletion-contraction, with the deletions taken in a loop and only the
 contractions recursing and memoized.
 
@@ -22,7 +22,6 @@ collection is weighted once.  The memo tables belong to the store in
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
 from math import comb
 
 from .exactlin import SparseIntEchelon, bareiss_rank
@@ -49,29 +48,6 @@ def subset_rank(sigma: FormCollection, subset) -> int:
     if subset and not (0 <= subset[0] and subset[-1] < len(cols)):
         raise ValueError("column index out of range 0..%d" % (len(cols) - 1))
     return bareiss_rank([cols[i] for i in subset], sigma.p)
-
-
-def circuits_up_to(sigma: FormCollection, max_len: int):
-    """All circuits (minimal dependent column sets) of size <= max_len.
-
-    No circuit has more than rank + 1 elements, so no larger set is tried.
-    Candidates containing a smaller circuit are skipped, so a surviving
-    dependent set is automatically minimal.
-    """
-    n = sigma.n
-    if not 1 <= max_len <= n:
-        raise ValueError("max_len %d out of range 1..%d" % (max_len, n))
-    cols = sigma.expanded_columns()
-    circuits = []
-    for size in range(1, min(max_len, full_rank(sigma) + 1) + 1):
-        smaller = tuple(circuits)  # no circuit lies inside another of its size
-        for cand in combinations(range(n), size):
-            cset = set(cand)
-            if any(c <= cset for c in smaller):
-                continue
-            if bareiss_rank([cols[i] for i in cand], sigma.p) < size:
-                circuits.append(frozenset(cand))
-    return [tuple(sorted(c)) for c in circuits]
 
 
 def _flats(sigma):

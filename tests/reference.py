@@ -23,6 +23,8 @@ so they stay here as independent references:
 - :func:`monomial_basis`, the exponent tuples of one degree in descending
   lexicographic order, which index the plain Hilbert matrix of
   ``conftest.hilbert_function_reference`` beside the oracle's integer keys;
+- :func:`circuits_up_to`, every circuit of at most a given size, by ranks
+  of candidate column sets;
 - :func:`circuit_dependency`, the one dependency of columns of nullity 1
   from an echelon of its own;
 - :func:`relation_space_by_circuits`, the circuit relation space from every
@@ -38,14 +40,13 @@ from itertools import combinations
 from math import comb, gcd
 
 from foldbetti.betti import BettiTable, _entry, _zero_table, betti_rank2
-from foldbetti.exactlin import SparseIntEchelon
+from foldbetti.exactlin import SparseIntEchelon, bareiss_rank
 from foldbetti.forms import FormCollection, canonical_coeffs, contract, essentialize
 from foldbetti.matroid import (
     TuttePoly,
     _flats,
     _multiplicity_layers,
     _sizes,
-    circuits_up_to,
     full_rank,
     tutte_polynomial,
 )
@@ -296,6 +297,29 @@ def monomial_basis(k: int, d: int):
         if i < 0:
             return tuple(out)
         exp[i], exp[-1], exp[i + 1] = exp[i] - 1, 0, exp[-1] + 1
+
+
+def circuits_up_to(sigma: FormCollection, max_len: int):
+    """All circuits (minimal dependent column sets) of size <= max_len.
+
+    No circuit has more than rank + 1 elements, so no larger set is tried.
+    Candidates containing a smaller circuit are skipped, so a surviving
+    dependent set is automatically minimal.
+    """
+    n = sigma.n
+    if not 1 <= max_len <= n:
+        raise ValueError("max_len %d out of range 1..%d" % (max_len, n))
+    cols = sigma.expanded_columns()
+    circuits = []
+    for size in range(1, min(max_len, full_rank(sigma) + 1) + 1):
+        smaller = tuple(circuits)  # no circuit lies inside another of its size
+        for cand in combinations(range(n), size):
+            cset = set(cand)
+            if any(c <= cset for c in smaller):
+                continue
+            if bareiss_rank([cols[i] for i in cand], sigma.p) < size:
+                circuits.append(frozenset(cand))
+    return [tuple(sorted(c)) for c in circuits]
 
 
 def relation_space_by_circuits(sigma: FormCollection, a: int) -> RelationSpace:

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foldbetti import (
@@ -165,6 +165,89 @@ def test_height1_reduce_preconditions(example_2_5):
         betti_height1_reduce(example_2_5, 7)  # a = n is the principal case
     with pytest.raises(ValueError):
         betti_height1_reduce(example_2_5, 4)  # height 2 window
+
+
+def test_height1_reduce_refuses_rank1():
+    # every fold of a rank-1 collection has height 1 = k: no fold of height 2
+    # is left to reduce to, and the fold a - sum e_i would be 0
+    sigma = normalize([((1, 0), 3)], 2)
+    for a in (1, 2):
+        with pytest.raises(ValueError, match="rank 1"):
+            betti_height1_reduce(sigma, a)
+
+
+@st.composite
+def rank2_collections(draw):
+    """(k, raw forms) of rank <= 2: forms in x1, x2, or in the plane x3 = x1 + 2 x2
+    when k = 3, with multiplicities up to 10^6 beside small ones."""
+    k = draw(st.sampled_from([2, 3]))
+    pairs = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+                          min_size=1, max_size=6))
+    mult = st.one_of(st.integers(1, 4), st.integers(1, 10**6))
+    return k, [((u, v) if k == 2 else (u, v, u + 2 * v), draw(mult)) for u, v in pairs]
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=rank2_collections())
+def test_recursion_matches_rank2_closed_form(p, case):
+    # the recursion has no rank <= 2 case: the maximal power takes a <= d_1 and
+    # rank 1, the height-1 reduction d_1 < a < n, the Cohen-Macaulay table a = n
+    k, raw = case
+    sigma = normalize(raw, k, p)
+    n = sigma.n
+    d1 = hamming_weights(essentialize(sigma)).d[0]
+    for a in sorted({1, 2, d1, d1 + 1, n - 1, n} & set(range(1, n + 1))):
+        table = betti_recursion(sigma, a)
+        assert table == betti_rank2(sigma, a), (sigma, a)
+        if n <= 200:  # T has about a term per copy
+            assert table == betti_tutte(sigma, a), (sigma, a)
+
+
+@st.composite
+def heavy_collections(draw):
+    """(k, raw forms): k 2..4, k to k + 3 distinct forms with leading coefficient 1
+    and the rest in +-2, multiplicities up to 40, or all 1 in about half the draws."""
+    k = draw(st.integers(2, 4))
+    form = st.integers(0, k - 1).flatmap(
+        lambda i: st.tuples(*[st.just(0)] * i, st.just(1), *[st.integers(-2, 2)] * (k - 1 - i))
+    )
+    mult = st.just(1) if draw(st.booleans()) else st.one_of(st.integers(1, 3), st.integers(1, 40))
+    return k, draw(st.lists(st.tuples(form, mult), min_size=k, max_size=k + 3, unique_by=lambda g: g[0]))
+
+
+@pytest.mark.parametrize("p", [None, 3, 101])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=heavy_collections())
+def test_recursion_matches_nminus1_and_principal_folds(p, case):
+    # fold n - 1: a heavy form gives height 1, which peels; a simple collection
+    # is 2-generic, the Cohen-Macaulay (n, n - 1).  Fold n: I_n is principal
+    k, raw = case
+    sigma = normalize(raw, k, p)
+    ess = essentialize(sigma)
+    assume(ess.k >= 2)
+    assert betti_recursion(sigma, ess.n - 1) == betti_nminus1(sigma), sigma
+    assert betti_recursion(sigma, ess.n).b == (1,) + (0,) * (ess.k - 1), sigma
+
+
+def test_recursion_calls_no_rank2_or_nminus1_closed_form(example_2_5, monkeypatch):
+    # the retired base cases stay references only: every fold of a rank-1, a
+    # heavy rank-2 and Example 2.5's collection comes from the height rules
+    import foldbetti.betti as betti_mod
+
+    rank1 = normalize([((1, 2), 7)], 2)
+    heavy = normalize([((1, 0), 1000), ((0, 1), 3), ((1, 1), 1), ((1, -1), 2)], 2)
+    cases = [(sigma, [betti_tutte(sigma, a).b for a in range(1, sigma.n + 1)]) for sigma in (rank1, heavy)]
+    cases.append((example_2_5, [(3, 3, 1), (6, 8, 3), (10, 15, 6), (14, 22, 9), (14, 21, 8), (6, 5, 0), (1, 0, 0)]))
+
+    def refuse(*args):
+        raise AssertionError("the recursion called a retired closed form")
+
+    clear_memos()
+    monkeypatch.setattr(betti_mod, "betti_rank2", refuse)
+    monkeypatch.setattr(betti_mod, "betti_nminus1", refuse)
+    for sigma, expected in cases:
+        assert [betti_recursion(sigma, a).b for a in range(1, sigma.n + 1)] == expected, sigma
 
 
 def test_nminus1_tables(example_2_5):

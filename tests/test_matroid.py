@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from foldbetti import (
-    circuits_up_to,
     essentialize,
     hamming_weights,
     height_of_fold_ideal,
@@ -20,7 +19,7 @@ from foldbetti.forms import FormCollection, canonical_coeffs
 from foldbetti.matroid import _flats, _tutte_cache
 
 from conftest import clear_memos, gauss_rank, make_random_collection, raw_collections, small_collections
-from reference import hamming_weights_crapo, rank2_flats, tutte_polynomial_subset_sum
+from reference import circuits_up_to, hamming_weights_crapo, rank2_flats, tutte_polynomial_subset_sum
 
 # the shifted polynomial y^4+x^3+x^2y+xy^2+3y^3+6x^2+6xy+6y^2+13x+9y+8
 SHIFTED_2_5 = {
