@@ -28,9 +28,10 @@ which maps the fold ideal onto the new collection's fold ideal degree by
 degree, and rescaling a form does not change the ideal.
 ``fold_generators`` keeps the forms' own coordinates.
 
-The circuit oracle reads, off one echelon per support U of n - a + 1
-columns, a fundamental circuit for each element outside U's greedy basis;
-they span U's kernel, as all its circuits do, so none is enumerated.
+The circuit oracle relates the distinct products too: off one echelon per
+complement vector c (c <= m, sum c = a - 1), a fundamental circuit for each
+group outside the greedy basis of those with room in c; they span its
+kernel, as all its circuits do, so none is enumerated.
 
 These are verifiers, not production paths: desk-scale guardrails refuse
 instances whose matrices would not fit a quick exact computation.
@@ -39,7 +40,7 @@ instances whose matrices would not fit a quick exact computation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 
 from .betti import BettiTable
@@ -248,8 +249,8 @@ def hf_report(sigma: FormCollection, a: int, degrees: range) -> HFReport:
 class RelationSpace(Record):
     """Constant-coefficient relations among fold generators, from circuits.
 
-    Generators are sparse vectors indexed by the (n-a)-subsets in
-    lexicographic order; their span has dimension C(n, n-a) - b_1.
+    Generators are sparse vectors over the distinct fold products (ascending
+    lexicographic exponents); their span has dimension ambient_dim - b_1.
     """
 
     __slots__ = ("a", "ambient_dim", "generators", "rank")
@@ -258,42 +259,56 @@ class RelationSpace(Record):
 def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
     """Fundamental-circuit relation vectors and the rank of their span.
 
-    Each support U echelonizes the rows [v_u | e_u], unit columns reversed.
-    A stored row leading past the v-columns is a kernel vector that leads at
-    its own element u, left of every earlier kernel row's lead, so it is the
-    dependency of u on U's greedy basis before u: a circuit.  Its coefficient
-    at w lands on the product of U minus w.  Consecutive supports keep the
-    echelon of their shared prefix: ``add`` stores at most one row, last, so
-    ``popitem`` takes back each later element.
+    A support is a complement vector c (c <= m, sum c = a - 1), relating the
+    products c + e_g of the groups g with room (c_g < m_g).  It echelonizes
+    their rows [v_g | e_g], unit columns reversed: a stored row leading past
+    the v-columns leads at its group g, a circuit of g on the greedy basis
+    before it.  Supports ascend lexicographically and share the echelon of
+    their common prefix (``add`` stores at most one row, last, so ``popitem``
+    takes it back).  c + e_g sits at c's index plus N_{g+1}(a - P_g) plus the
+    sum over h < g of N_{h+1}(a - P_h) - N_{h+1}(a - P_{h+1}), where P_h is
+    c_0 + ... + c_{h-1} and N_j(s) counts the vectors over groups j.. of sum s.
     """
-    n, k, p = sigma.n, sigma.k, sigma.p
+    n, k, p, groups, mults = sigma.n, sigma.k, sigma.p, sigma.groups, sigma.multiplicities
     if not 1 <= a <= n - 1:
         raise ValueError("fold %d out of range 1..%d" % (a, n - 1))
-    ambient = comb(n, n - a)
-    if ambient > RELATION_AMBIENT_LIMIT:
-        raise OracleLimitError(
-            "relation space has ambient dimension %d; limit is %d"
-            % (ambient, RELATION_AMBIENT_LIMIT)
-        )
-    position = {c: i for i, c in enumerate(combinations(range(n), n - a))}
-    cols = [{i: c for i, c in enumerate(col) if c} for col in sigma.expanded_columns()]
-    top = k + n - a  # the unit column of a support's first element
-    local, grew, prev, generators = SparseIntEchelon(p), [], (None,), []
-    pivots = local.pivot_rows
-    for support in combinations(range(n), n - a + 1):
-        d = 0  # the length of the prefix shared with the previous support
-        while prev[d] == support[d]:
-            d += 1
-        while len(grew) > d:
-            if grew.pop():
-                pivots.popitem()
-        for i in range(d, len(support)):
-            grew.append(local.add({**cols[support[i]], top - i: 1}))
-        prev = support
-        for lead, row in pivots.items():
-            if lead >= k:  # u = support[top - lead] depends on the basis before it
-                generators.append({position[support[:top - j] + support[top - j + 1:]]: c
-                                   for j, c in row.items()})
+    if (ambient := _product_count(sigma, a)) > RELATION_AMBIENT_LIMIT:
+        raise OracleLimitError("relation space has ambient dimension %d; limit is %d"
+                               % (ambient, RELATION_AMBIENT_LIMIT))
+    t, top, base = len(groups), min(a, n - a), k + len(groups) - 1  # group g's unit column: base - g
+    room = list(accumulate(reversed(mults), initial=0))[::-1]  # room[j] = m_j + ... + m_{t-1}
+    counts = [[1] + [0] * top]  # N_t, then N_{t-1}, ..., N_0 up to s = top, as in _product_count
+    for m in reversed(mults):
+        sums = list(accumulate(counts[-1], initial=0))
+        counts.append([sums[i + 1] - sums[max(i - m, 0)] for i in range(top + 1)])
+    counts.reverse()
+
+    def count(j, s):  # N_j is palindromic; the walk needs min(s, room[j] - s) <= top only
+        return counts[j][min(s, room[j] - s)] if s <= room[j] else 0
+
+    rows = [{**{i: c for i, c in enumerate(coeffs) if c}, base - g: 1} for g, (coeffs, _) in enumerate(groups)]
+    c, prefix, offset, key, grew = [0] * t, [0] * (t + 1), [0] * (t + 1), [0] * t, [False] * t
+    local, generators, g, leaf = SparseIntEchelon(p), [], 0, 0
+    while True:
+        for h in range(g, t):  # c_g as the backtrack left it, every later c_h least
+            c[h] = max(c[h], a - 1 - prefix[h] - room[h + 1])
+            prefix[h + 1] = prefix[h] + c[h]
+            grew[h] = c[h] < mults[h] and local.add(rows[h])
+            key[h] = offset[h] + count(h + 1, a - prefix[h])
+            offset[h + 1] = key[h] - count(h + 1, a - prefix[h + 1])
+        for lead, row in local.pivot_rows.items():
+            if lead >= k:  # group base - lead depends on the basis before it
+                generators.append({key[base - j] + leaf: v for j, v in row.items()})
+        leaf, rest = leaf + 1, 0
+        for g in reversed(range(t)):  # rebuild from the last c_g that can take one from later groups
+            if grew[g]:
+                local.pivot_rows.popitem()
+            if rest and c[g] < mults[g]:
+                break
+            rest, c[g] = rest + c[g], 0
+        else:
+            break
+        c[g] += 1
     ech = SparseIntEchelon(p)
     for vec in sorted(generators, key=max, reverse=True):  # rank is order-free
         ech.add(vec)
@@ -301,6 +316,6 @@ def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
 
 
 def b1_via_circuits(sigma: FormCollection, a: int) -> int:
-    """First Betti number as C(n, n-a) minus the relation-space rank."""
+    """First Betti number: the distinct fold products minus the relation-space rank."""
     space = relation_space(sigma, a)
     return space.ambient_dim - space.rank

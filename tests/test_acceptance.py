@@ -95,11 +95,12 @@ def test_criterion_03_example_2_5_full_tables():
 def test_criterion_04_example_4_3_golden():
     sigma = normalize([((1, 0), 3), ((0, 1), 2)], 2)
     space = relation_space(sigma, 3)
-    # one fundamental circuit per 3-subset U and element outside its greedy
-    # basis: sum of |U| - rank U is 11; every circuit with every divisor is 12
-    assert len(space.generators) == 11
-    assert len(relation_space_by_circuits(sigma, 3).generators) == 12
-    assert space.rank == 7
+    # the distinct products x^3, x^2y, xy^2 admit no relation; the reference
+    # relates the C(5, 2) = 10 products of copies, every circuit with every
+    # divisor: 12 vectors of rank 7
+    assert (space.ambient_dim, len(space.generators), space.rank) == (3, 0, 0)
+    reference = relation_space_by_circuits(sigma, 3)
+    assert (reference.ambient_dim, len(reference.generators), reference.rank) == (10, 12, 7)
     assert betti_recursion(sigma, 3).b == (3, 2)
     assert betti_from_hilbert(sigma, 3).b == (3, 2)
     assert hilbert_function(sigma, 3, 4) == 4

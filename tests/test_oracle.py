@@ -3,7 +3,7 @@
 import json
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -125,15 +125,13 @@ def test_betti_from_hilbert_tail(rng):
 def test_relation_space_example(example_4_3):
     space = relation_space(example_4_3, 3)
     reference = relation_space_by_circuits(example_4_3, 3)
-    assert space.ambient_dim == 10
-    # sum over the ten 3-subsets U of |U| - rank U: one fundamental circuit
-    # per element outside the greedy basis, where the 12 circuit-and-divisor
-    # vectors of the reference span the same space
-    assert len(space.generators) == 11
-    assert len(reference.generators) == 12
-    assert space.rank == reference.rank == 7
-    dense = [[vec.get(c, 0) for c in range(space.ambient_dim)] for vec in space.generators]
-    assert gauss_rank(dense) == 7
+    # three distinct products x^3, x^2y, xy^2 and no relation among them: the
+    # supports c = (0, 2), (1, 1), (2, 0) leave room in x alone or in x and y,
+    # which are independent; the reference relates the C(5, 2) = 10 products
+    # of copies
+    assert (space.ambient_dim, len(space.generators), space.rank) == (3, 0, 0)
+    assert (reference.ambient_dim, len(reference.generators), reference.rank) == (10, 12, 7)
+    assert space.ambient_dim - space.rank == reference.ambient_dim - reference.rank == 3
 
 
 def test_relation_space_simple_high_fold():
@@ -147,19 +145,26 @@ def test_relation_space_nminus2(example_3_6):
     assert space.rank == beta
 
 
+def exponent_vectors(sigma, d):
+    """The exponent vectors e <= m over the groups with sum d, ascending
+    lexicographically."""
+    return [e for e in product(*(range(m + 1) for m in sigma.multiplicities)) if sum(e) == d]
+
+
 def test_relation_generator_counts(rng):
-    # one generator per support U and element outside its greedy basis
+    # one generator per distinct support (complement vector c) and per group
+    # with room in c outside the greedy basis of those groups
     for _ in range(8):
         sigma = make_random_collection(rng, max_n=6)
-        n, cols = sigma.n, sigma.expanded_columns()
+        n, vs = sigma.n, [coeffs for coeffs, _ in sigma.groups]
         if n < 2:
             continue
         for a in range(1, n):
             space = relation_space(sigma, a)
-            expected = sum(
-                len(support) - gauss_rank([cols[u] for u in support])
-                for support in combinations(range(n), n - a + 1)
-            )
+            expected = 0
+            for c in exponent_vectors(sigma, a - 1):
+                room = [v for v, cg, m in zip(vs, c, sigma.multiplicities) if cg < m]
+                expected += len(room) - gauss_rank(room, sigma.p)
             assert len(space.generators) == expected
 
 
@@ -191,41 +196,67 @@ def test_circuit_relations_live_in_the_memo_store(example_4_3):
     assert forms.memo_entries() == 0
 
 
-def circuit_elements(generator, n, a):
-    """The elements of a generator's nonzero set: its keys are the subsets
-    U minus u of one support U of n-a+1 columns, for each element u it involves."""
-    subsets = list(combinations(range(n), n - a))
-    support = set().union(*(subsets[i] for i in generator))
-    assert len(support) == n - a + 1
-    return sorted(u for i in generator for u in support.difference(subsets[i]))
-
-
 @pytest.mark.parametrize("p", [None, 3, 101])
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(collection=small_collections())
 def test_fundamental_circuits_span_the_circuit_relations(p, collection):
     k, raw = collection
     sigma = normalize(raw, k, p)
-    n, cols = sigma.n, sigma.expanded_columns()
+    n, vs = sigma.n, [coeffs for coeffs, _ in sigma.groups]
     for a in range(1, n):
         space = relation_space(sigma, a)
-        assert space.rank == relation_space_by_circuits(sigma, a).rank
-        # key i is the i-th (n-a)-subset; its fold product is of the a forms outside it
+        reference = relation_space_by_circuits(sigma, a)
+        assert space.ambient_dim - space.rank == reference.ambient_dim - reference.rank
+        # key i is the i-th exponent vector in ascending lexicographic order,
+        # the product of the first e_g copies of each group g: fold_generators
+        # lists the distinct products in the reverse order
+        vectors = exponent_vectors(sigma, a)
+        starts = [sum(sigma.multiplicities[:g]) for g in range(sigma.t)]
         of_subset = dict(zip(combinations(range(n), a), fold_products_reference(sigma, a)))
-        products = [of_subset[tuple(u for u in range(n) if u not in s)]
-                    for s in combinations(range(n), n - a)]
+        products = fold_generators(sigma, a)[::-1]
+        assert space.ambient_dim == len(vectors) == len(products)
+        assert products == [of_subset[tuple(s + j for s, eg in zip(starts, e) for j in range(eg))]
+                            for e in vectors]
         for vec in space.generators:
             total = {}
             for i, c in vec.items():
                 for e, w in products[i].items():
                     total[e] = total.get(e, 0) + c * w
             assert all(w == 0 if p is None else w % p == 0 for w in total.values())
-            circuit = circuit_elements(vec, n, a)
-            assert len(circuit) == len(vec) >= 2
-            rank = gauss_rank([cols[u] for u in circuit], p)
+            # its keys are c + e_g for one complement vector c and distinct groups g
+            keys = [vectors[i] for i in vec]
+            assert len(keys) >= 2
+            c = tuple(map(min, *keys))
+            assert sum(c) == a - 1
+            circuit = [g for g in range(sigma.t) if any(e[g] > c[g] for e in keys)]
+            assert len(circuit) == len(vec)
+            rank = gauss_rank([vs[g] for g in circuit], p)
             assert rank == len(circuit) - 1  # dependent, and minimally so:
-            for u in circuit:
-                assert gauss_rank([cols[w] for w in circuit if w != u], p) == rank
+            for g in circuit:
+                assert gauss_rank([vs[h] for h in circuit if h != g], p) == rank
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 101])
+def test_distinct_product_b1_matches_the_copy_level_reference_and_the_recursion(p):
+    rng = random.Random(31 + (p or 0))
+    folds = 0
+    for _ in range(100):
+        k = rng.randint(1, 4)
+        raw = [(tuple(rng.randint(-3, 3) for _ in range(k)), rng.randint(1, 4))
+               for _ in range(rng.randint(1, 4))]
+        try:
+            sigma = normalize(raw, k, p)
+        except ValueError:  # every form vanishes (mod p)
+            continue
+        if sigma.n > 9:
+            continue
+        for a in range(1, sigma.n):
+            b1 = b1_via_circuits(sigma, a)
+            reference = relation_space_by_circuits(sigma, a)
+            assert b1 == reference.ambient_dim - reference.rank, (sigma, a)
+            assert b1 == compute_betti(sigma, a, "recursion").b[0], (sigma, a)
+            folds += 1
+    assert folds >= 250
 
 
 # k3_n24_g5 of the betti_multiplicity bench suite
@@ -236,8 +267,9 @@ K3_N24_G5 = {"k": 3, "forms": [
 
 
 def test_a_small_fold_of_heavy_forms_verifies_quickly():
-    # fold 3 has C(24, 2) = 276 supports of 22 columns; every circuit with
-    # every choice of divided-out columns was 469,599 vectors, 8-16 s
+    # fold 3 relates 35 distinct products over 15 distinct supports (the
+    # complement vectors of sum 2); the C(24, 2) = 276 supports of copies,
+    # every circuit with every choice of divided-out copies, were 469,599 vectors
     clear_memos()
     start = time.perf_counter()
     report = run("verify", parse_instance(json.dumps(K3_N24_G5)), [3])
@@ -247,7 +279,7 @@ def test_a_small_fold_of_heavy_forms_verifies_quickly():
 
 
 def test_b1_via_circuits_values(example_4_3, example_2_5):
-    assert b1_via_circuits(example_4_3, 3) == comb(5, 2) - 7 == 3
+    assert b1_via_circuits(example_4_3, 3) == 3 - 0 == 3  # three distinct products, no relation
     assert b1_via_circuits(example_2_5, 4) == 14 == betti_tutte(example_2_5, 4).b[0]
     generic = normalize([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 1), 1)], 3)
     assert b1_via_circuits(generic, 3) == 4
@@ -259,9 +291,23 @@ def test_relation_space_fold_range(example_4_3):
 
 
 def test_relation_ambient_guardrail():
+    # 25 single lines have C(25, 12) distinct products at fold 12
     wide = normalize([((1, i), 1) for i in range(25)], 2)
     with pytest.raises(OracleLimitError, match="ambient"):
         relation_space(wide, 12)
+    # copies collapse: fold 12 of k3_n24_g5 relates 600 products, not C(24, 12)
+    instance = parse_instance(json.dumps(K3_N24_G5))
+    heavy = normalize(instance.forms, instance.k, instance.p)
+    space = relation_space(heavy, 12)
+    assert space.ambient_dim == 600
+    assert space.ambient_dim - space.rank == compute_betti(heavy, 12, "recursion").b[0] == 91
+    # one support, 1,200 groups deep: the walk neither recurses per group nor
+    # steps through every group for each key
+    conic = normalize([((1, t, t * t), 1) for t in range(1200)], 3)
+    assert conic.t == 1200
+    start = time.perf_counter()
+    assert b1_via_circuits(conic, 1) == 3
+    assert time.perf_counter() - start < 2.0
 
 
 def test_hilbert_cell_guardrail(example_2_5, monkeypatch):
