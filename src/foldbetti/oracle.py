@@ -28,10 +28,11 @@ which maps the fold ideal onto the new collection's fold ideal degree by
 degree, and rescaling a form does not change the ideal.
 ``fold_generators`` keeps the forms' own coordinates.
 
-The circuit oracle relates the distinct products too: off one echelon per
-complement vector c (c <= m, sum c = a - 1), a fundamental circuit for each
-group outside the greedy basis of those with room in c; they span its
-kernel, as all its circuits do, so none is enumerated.
+The circuit oracle relates the distinct products, keyed by their exponent
+vectors in mixed radix: off one echelon per room vector m - c of a
+complement vector c (c <= m, sum c = a - 1), a fundamental circuit for
+each group with room outside the greedy basis of those groups; they span
+its kernel, as all its circuits do, so none is enumerated.
 
 These are verifiers, not production paths: desk-scale guardrails refuse
 instances whose matrices would not fit a quick exact computation.
@@ -42,6 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .betti import BettiTable
 from .exactlin import SparseIntEchelon
@@ -249,8 +251,10 @@ def hf_report(sigma: FormCollection, a: int, degrees: range) -> HFReport:
 class RelationSpace(Record):
     """Constant-coefficient relations among fold generators, from circuits.
 
-    Generators are sparse vectors over the distinct fold products (ascending
-    lexicographic exponents); their span has dimension ambient_dim - b_1.
+    Generators are sparse vectors over the distinct fold products; their span
+    has dimension ambient_dim - b_1.  The product with exponent vector e is
+    keyed by the mixed-radix number sum_g e_g P_g, P_g = prod_{h>g} (m_h + 1),
+    so keys ascend with lexicographic exponents but do not run 0..ambient_dim - 1.
     """
 
     __slots__ = ("a", "ambient_dim", "generators", "rank")
@@ -260,14 +264,14 @@ def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
     """Fundamental-circuit relation vectors and the rank of their span.
 
     A support is a complement vector c (c <= m, sum c = a - 1), relating the
-    products c + e_g of the groups g with room (c_g < m_g).  It echelonizes
-    their rows [v_g | e_g], unit columns reversed: a stored row leading past
-    the v-columns leads at its group g, a circuit of g on the greedy basis
-    before it.  Supports ascend lexicographically and share the echelon of
-    their common prefix (``add`` stores at most one row, last, so ``popitem``
-    takes it back).  c + e_g sits at c's index plus N_{g+1}(a - P_g) plus the
-    sum over h < g of N_{h+1}(a - P_h) - N_{h+1}(a - P_{h+1}), where P_h is
-    c_0 + ... + c_{h-1} and N_j(s) counts the vectors over groups j.. of sum s.
+    products c + e_g, keyed c's key plus P_g, of the groups g with room
+    r_g = m_g - c_g > 0.  It echelonizes their rows [v_g | e_g], unit columns
+    reversed: a stored row leading past the v-columns leads at its group g,
+    a circuit of g on the greedy basis before it.  The room vectors r
+    (sum r = n - a + 1) descend lexicographically, so supports ascend; each
+    is the greedy fill of its prefix, and the walk touches only the groups
+    with room.  Supports share the echelon of their common prefix (``add``
+    stores at most one row, last, so ``popitem`` takes it back).
     """
     n, k, p, groups, mults = sigma.n, sigma.k, sigma.p, sigma.groups, sigma.multiplicities
     if not 1 <= a <= n - 1:
@@ -275,40 +279,35 @@ def relation_space(sigma: FormCollection, a: int) -> RelationSpace:
     if (ambient := _product_count(sigma, a)) > RELATION_AMBIENT_LIMIT:
         raise OracleLimitError("relation space has ambient dimension %d; limit is %d"
                                % (ambient, RELATION_AMBIENT_LIMIT))
-    t, top, base = len(groups), min(a, n - a), k + len(groups) - 1  # group g's unit column: base - g
+    t, base = len(groups), k + len(groups) - 1  # group g's unit column: base - g
+    place = list(accumulate((m + 1 for m in reversed(mults[1:])), mul, initial=1))[::-1]  # P_g
     room = list(accumulate(reversed(mults), initial=0))[::-1]  # room[j] = m_j + ... + m_{t-1}
-    counts = [[1] + [0] * top]  # N_t, then N_{t-1}, ..., N_0 up to s = top, as in _product_count
-    for m in reversed(mults):
-        sums = list(accumulate(counts[-1], initial=0))
-        counts.append([sums[i + 1] - sums[max(i - m, 0)] for i in range(top + 1)])
-    counts.reverse()
-
-    def count(j, s):  # N_j is palindromic; the walk needs min(s, room[j] - s) <= top only
-        return counts[j][min(s, room[j] - s)] if s <= room[j] else 0
-
     rows = [{**{i: c for i, c in enumerate(coeffs) if c}, base - g: 1} for g, (coeffs, _) in enumerate(groups)]
-    c, prefix, offset, key, grew = [0] * t, [0] * (t + 1), [0] * (t + 1), [0] * t, [False] * t
-    local, generators, g, leaf = SparseIntEchelon(p), [], 0, 0
+    r, grew, support = [0] * t, [False] * t, []  # support: the groups with r_g > 0, ascending
+    key, g, spare = sum(map(mul, mults, place)), -1, n - a + 1  # key of c = m - r
+    local, generators = SparseIntEchelon(p), []
     while True:
-        for h in range(g, t):  # c_g as the backtrack left it, every later c_h least
-            c[h] = max(c[h], a - 1 - prefix[h] - room[h + 1])
-            prefix[h + 1] = prefix[h] + c[h]
-            grew[h] = c[h] < mults[h] and local.add(rows[h])
-            key[h] = offset[h] + count(h + 1, a - prefix[h])
-            offset[h + 1] = key[h] - count(h + 1, a - prefix[h + 1])
+        while spare:  # each group after g takes all the room it can
+            g += 1
+            r[g] = min(mults[g], spare)
+            spare, key = spare - r[g], key - r[g] * place[g]
+            support.append(g)
+            grew[g] = local.add(rows[g])
         for lead, row in local.pivot_rows.items():
             if lead >= k:  # group base - lead depends on the basis before it
-                generators.append({key[base - j] + leaf: v for j, v in row.items()})
-        leaf, rest = leaf + 1, 0
-        for g in reversed(range(t)):  # rebuild from the last c_g that can take one from later groups
-            if grew[g]:
-                local.pivot_rows.popitem()
-            if rest and c[g] < mults[g]:
+                generators.append({key + place[base - j]: v for j, v in row.items()})
+        while support:  # take room back from the last groups until those after g can refill it
+            g = support[-1]
+            take = 1 if spare < room[g + 1] else r[g]
+            r[g], key, spare = r[g] - take, key + take * place[g], spare + take
+            if not r[g]:
+                support.pop()
+                if grew[g]:
+                    local.pivot_rows.popitem()
+            if spare <= room[g + 1]:
                 break
-            rest, c[g] = rest + c[g], 0
         else:
             break
-        c[g] += 1
     ech = SparseIntEchelon(p)
     for vec in sorted(generators, key=max, reverse=True):  # rank is order-free
         ech.add(vec)

@@ -237,8 +237,21 @@ def test_sparse_echelon_invariants(p, rows):
     expected = gauss_rank([[r.get(c, 0) for c in range(8)] for r in rows], p)
     descending = sorted(rows, key=lambda r: max(r, default=-1), reverse=True)
     for order in (rows, rows[::-1], descending):
-        ech = SparseIntEchelon(p)
-        grew = [ech.add(r) for r in order]
+        ech, grew = SparseIntEchelon(p), []
+        for r in order:
+            # the undo the circuit oracle's walk relies on: a row that raises
+            # the rank is stored last, under a new pivot, and popitem takes it
+            # back; a row that does not leaves the stored rows alone
+            before = list(ech.pivot_rows.items())
+            grew.append(ech.add(r))
+            after = list(ech.pivot_rows.items())
+            if grew[-1]:
+                assert after[:-1] == before and after[-1][0] not in dict(before)
+                ech.pivot_rows.popitem()
+                assert list(ech.pivot_rows.items()) == before
+                assert ech.add(r) and list(ech.pivot_rows.items()) == after
+            else:
+                assert after == before
         assert ech.rank == sum(grew) == expected
         for c, row in ech.pivot_rows.items():
             assert min(row) == c

@@ -4,7 +4,7 @@ import json
 import random
 import time
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -151,6 +151,25 @@ def exponent_vectors(sigma, d):
     return [e for e in product(*(range(m + 1) for m in sigma.multiplicities)) if sum(e) == d]
 
 
+def decode(sigma, key):
+    """The exponent vector that a relation key stands for: its mixed-radix
+    digits, with place value P_g = prod_{h > g} (m_h + 1) for group g."""
+    e = []
+    for g in range(sigma.t):
+        digit, key = divmod(key, prod(m + 1 for m in sigma.multiplicities[g + 1:]))
+        e.append(digit)
+    return tuple(e)
+
+
+def product_vectors(sigma, space):
+    """Each key of the generators decoded, after checking that it names a
+    distinct fold product: an exponent vector e <= m of sum a."""
+    vectors = {key: decode(sigma, key) for vec in space.generators for key in vec}
+    for e in vectors.values():
+        assert all(eg <= m for eg, m in zip(e, sigma.multiplicities)) and sum(e) == space.a
+    return vectors
+
+
 def test_relation_generator_counts(rng):
     # one generator per distinct support (complement vector c) and per group
     # with room in c outside the greedy basis of those groups
@@ -185,7 +204,10 @@ def test_relation_space_is_order_free_and_ranks_its_generators(p, collection):
         fresh.append(relation_space(sigma, a))
     assert ascending == descending == fresh
     for space in ascending:
-        dense = [[vec.get(c, 0) for c in range(space.ambient_dim)] for vec in space.generators]
+        # the keys are mixed-radix numbers of products, not 0..ambient_dim - 1
+        columns = sorted(product_vectors(sigma, space))
+        assert len(columns) <= space.ambient_dim
+        dense = [[vec.get(c, 0) for c in columns] for vec in space.generators]
         assert space.rank == gauss_rank(dense, p)
 
 
@@ -207,24 +229,25 @@ def test_fundamental_circuits_span_the_circuit_relations(p, collection):
         space = relation_space(sigma, a)
         reference = relation_space_by_circuits(sigma, a)
         assert space.ambient_dim - space.rank == reference.ambient_dim - reference.rank
-        # key i is the i-th exponent vector in ascending lexicographic order,
-        # the product of the first e_g copies of each group g: fold_generators
-        # lists the distinct products in the reverse order
+        # a key decodes to an exponent vector e, the product of the first e_g
+        # copies of each group g: fold_generators lists the distinct products
+        # in descending lexicographic order of e
         vectors = exponent_vectors(sigma, a)
         starts = [sum(sigma.multiplicities[:g]) for g in range(sigma.t)]
         of_subset = dict(zip(combinations(range(n), a), fold_products_reference(sigma, a)))
-        products = fold_generators(sigma, a)[::-1]
+        products = dict(zip(vectors, fold_generators(sigma, a)[::-1]))
         assert space.ambient_dim == len(vectors) == len(products)
-        assert products == [of_subset[tuple(s + j for s, eg in zip(starts, e) for j in range(eg))]
-                            for e in vectors]
+        assert all(products[e] == of_subset[tuple(s + j for s, eg in zip(starts, e) for j in range(eg))]
+                   for e in vectors)
+        decoded = product_vectors(sigma, space)
         for vec in space.generators:
             total = {}
-            for i, c in vec.items():
-                for e, w in products[i].items():
+            for key, c in vec.items():
+                for e, w in products[decoded[key]].items():
                     total[e] = total.get(e, 0) + c * w
             assert all(w == 0 if p is None else w % p == 0 for w in total.values())
             # its keys are c + e_g for one complement vector c and distinct groups g
-            keys = [vectors[i] for i in vec]
+            keys = [decoded[key] for key in vec]
             assert len(keys) >= 2
             c = tuple(map(min, *keys))
             assert sum(c) == a - 1
@@ -308,6 +331,13 @@ def test_relation_ambient_guardrail():
     start = time.perf_counter()
     assert b1_via_circuits(conic, 1) == 3
     assert time.perf_counter() - start < 2.0
+    # near fold n the supports outnumber the products: fold 399 of 400 single
+    # forms has C(400, 2) supports, each with room in two groups, so the walk
+    # must touch those groups alone, not all 400, per support
+    near_n = normalize([((1, x, x * x), 1) for x in range(1, 401)], 3)
+    start = time.perf_counter()
+    assert b1_via_circuits(near_n, 399) == 400
+    assert time.perf_counter() - start < 3.0
 
 
 def test_hilbert_cell_guardrail(example_2_5, monkeypatch):
